@@ -4,10 +4,6 @@ Link budgets for the three underwater wake-up technologies (acoustic,
 optical, magnetic induction), closed-form node lifetime under no-wake-up
 / duty-cycling / on-demand policies, and a deterministic discrete-event
 simulator of the two-stage UAV -> buoy -> node wake-up protocol.
-
-The distance-power kernels run on a compiled extension when built
-(``iout_wakeup.kernels.BACKEND == "compiled"``) and on a bit-identical
-pure-Python fallback otherwise.
 """
 
 from .acoustic import (
@@ -51,7 +47,6 @@ from .errors import (
     PolicyError,
     ValidationError,
 )
-from .kernels import BACKEND as KERNEL_BACKEND
 from .mi import MiLinkParams, mi_max_range, mi_path_gain_db
 from .optical import OpticalLinkParams, WaterType, extinction_coefficient, optical_max_range
 from .scenario import (

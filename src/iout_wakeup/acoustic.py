@@ -8,11 +8,11 @@ the -10 dBm sensitivity crossing near 250 m at 8 kHz and near 180 m at
 48 kHz.
 """
 
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import log10
 
-from . import kernels
-from .core import Medium, solve_max_range
+from .core import LinkLaw, Medium, require_finite
 from .errors import DomainError
 
 # Source level is referenced to 1 m from the projector; closer inputs are
@@ -27,42 +27,12 @@ _SPREADING_EXPONENTS = (SPREADING_CYLINDRICAL, SPREADING_PRACTICAL, SPREADING_SP
 MAX_RANGE_BRACKET_M = (REFERENCE_DISTANCE_M, 10_000.0)
 
 
-@dataclass(frozen=True)
-class AcousticLinkParams:
-    source_level_db: float = 190.0      # dB re 1 uPa at 1 m
-    frequency_khz: float = 8.0
-    medium: Medium = field(default_factory=Medium)
-    spreading_exponent: float = SPREADING_SPHERICAL
-
-    def __post_init__(self):
-        if self.frequency_khz <= 0.0:
-            raise DomainError(f"frequency must be positive: {self.frequency_khz} kHz")
-        if self.spreading_exponent not in _SPREADING_EXPONENTS:
-            raise DomainError(
-                f"spreading exponent must be one of {_SPREADING_EXPONENTS}: "
-                f"{self.spreading_exponent}"
-            )
-
-
 def thorp_absorption(frequency_khz):
     """Thorp seawater absorption coefficient, dB/km."""
-    if frequency_khz <= 0.0:
+    if not frequency_khz > 0.0:
         raise DomainError(f"frequency must be positive: {frequency_khz} kHz")
-    return kernels.thorp_absorption_db_per_km(frequency_khz)
-
-
-def _check_distance(distance_m):
-    if distance_m < REFERENCE_DISTANCE_M:
-        raise DomainError(
-            f"distance {distance_m} m below reference distance {REFERENCE_DISTANCE_M} m"
-        )
-
-
-def transmission_loss(params: AcousticLinkParams, distance_m):
-    """Spreading + absorption path loss in dB, defined for d >= 1 m."""
-    _check_distance(distance_m)
-    alpha = thorp_absorption(params.frequency_khz)
-    return kernels.acoustic_tl_db(params.spreading_exponent, alpha, distance_m)
+    f2 = frequency_khz * frequency_khz
+    return 0.11 * f2 / (1.0 + f2) + 44.0 * f2 / (4100.0 + f2) + 2.75e-4 * f2 + 0.003
 
 
 def intensity_offset_db(medium: Medium):
@@ -71,44 +41,64 @@ def intensity_offset_db(medium: Medium):
     p = 10^(RL/20) uPa, I = p^2/(rho*c) W/m^2; in dB the conversion
     collapses to RL - 90 - 10*log10(rho*c).
     """
-    return -90.0 - 10.0 * math.log10(medium.density_kg_m3 * medium.sound_speed_m_s)
+    return -90.0 - 10.0 * log10(medium.density_kg_m3 * medium.sound_speed_m_s)
+
+
+@dataclass(frozen=True)
+class AcousticLinkParams(LinkLaw):
+    source_level_db: float = 190.0      # dB re 1 uPa at 1 m
+    frequency_khz: float = 8.0
+    medium: Medium = field(default_factory=Medium)
+    spreading_exponent: float = SPREADING_SPHERICAL
+
+    min_distance_m = REFERENCE_DISTANCE_M
+    max_range_bracket_m = MAX_RANGE_BRACKET_M
+    sweep_range_m = (REFERENCE_DISTANCE_M, 500.0)
+
+    def __post_init__(self):
+        require_finite(self)
+        if self.frequency_khz <= 0.0:
+            raise DomainError(f"frequency must be positive: {self.frequency_khz} kHz")
+        if self.spreading_exponent not in _SPREADING_EXPONENTS:
+            raise DomainError(
+                f"spreading exponent must be one of {_SPREADING_EXPONENTS}: "
+                f"{self.spreading_exponent}"
+            )
+
+    @cached_property
+    def alpha_db_per_km(self):
+        return thorp_absorption(self.frequency_khz)
+
+    @cached_property
+    def offset_db(self):
+        return intensity_offset_db(self.medium)
+
+    def transmission_loss_db(self, d):
+        """Spreading plus absorption loss, dB, at a range d >= 1 m."""
+        return self.spreading_exponent * log10(d) + self.alpha_db_per_km * d / 1000.0
+
+    def rx_dbm(self, d):
+        """Received sound power density, dBm re 1 mW/m^2, at a range d >= 1 m."""
+        return self.source_level_db - self.transmission_loss_db(d) + self.offset_db
+
+
+def transmission_loss(params: AcousticLinkParams, distance_m):
+    """Spreading + absorption path loss in dB, defined for d >= 1 m."""
+    params.check_distance(distance_m)
+    return params.transmission_loss_db(distance_m)
 
 
 def received_power_density_dbm(params: AcousticLinkParams, distance_m):
     """Received sound power density in dBm re 1 mW/m^2 at a slant range."""
-    _check_distance(distance_m)
-    alpha = thorp_absorption(params.frequency_khz)
-    return kernels.acoustic_rx_dbm(
-        params.source_level_db,
-        params.spreading_exponent,
-        alpha,
-        intensity_offset_db(params.medium),
-        distance_m,
-    )
+    params.check_distance(distance_m)
+    return params.rx_dbm(distance_m)
 
 
 def sweep_received_power(params: AcousticLinkParams, d0, step, n):
     """Received power density at d0, d0+step, ... (n points)."""
-    _check_distance(d0)
-    alpha = thorp_absorption(params.frequency_khz)
-    return kernels.acoustic_sweep(
-        params.source_level_db,
-        params.spreading_exponent,
-        alpha,
-        intensity_offset_db(params.medium),
-        d0,
-        step,
-        n,
-    )
+    return params.sweep(d0, step, n)
 
 
 def acoustic_max_range(params: AcousticLinkParams, sensitivity_dbm, tol_m=0.01):
     """Largest range (m) still meeting the receiver sensitivity."""
-    d_min, d_max = MAX_RANGE_BRACKET_M
-    return solve_max_range(
-        lambda d: received_power_density_dbm(params, d),
-        sensitivity_dbm,
-        d_min,
-        d_max,
-        tol_m,
-    )
+    return params.max_range(sensitivity_dbm, tol_m)

@@ -15,13 +15,13 @@ error path prints one line ``error: <code>: <detail>`` to stderr.
 """
 
 import argparse
+import math
 import os
 import sys
 
 from . import scenario as scenario_io
-from .acoustic import AcousticLinkParams, acoustic_max_range
-from .acoustic import sweep_received_power as acoustic_sweep
-from .core import ACOUSTIC, MI, OPTICAL, PROFILES, Medium, TECHNOLOGIES
+from .acoustic import AcousticLinkParams
+from .core import ACOUSTIC, OPTICAL, PROFILES, Medium, TECHNOLOGIES
 from .energy import (
     DEFAULT_ENERGY,
     EnergyProfile,
@@ -36,10 +36,8 @@ from .errors import (
     PolicyError,
     ValidationError,
 )
-from .mi import MiLinkParams, mi_max_range
-from .mi import sweep_received_power as mi_sweep
-from .optical import OpticalLinkParams, WaterType, extinction_coefficient, optical_max_range
-from .optical import sweep_received_power as optical_sweep
+from .mi import MiLinkParams
+from .optical import OpticalLinkParams, WaterType, extinction_coefficient
 from .scenario import fmt6
 from .sim import run
 
@@ -152,16 +150,14 @@ def _sweep_params(args):
     )
 
 
-_SWEEP_DEFAULTS = {ACOUSTIC: (1.0, 500.0), OPTICAL: (0.1, 150.0), MI: (0.5, 100.0)}
-
-
 def _cmd_sweep_range(args):
     params = _sweep_params(args)
-    default_min, default_max = _SWEEP_DEFAULTS[args.tech]
-    if args.tech == MI:
-        default_min = params.reference_distance_m
+    default_min, default_max = params.sweep_range_m
     dmin = args.dmin if args.dmin is not None else default_min
     dmax = args.dmax if args.dmax is not None else default_max
+    for flag, value in (("dmin", dmin), ("dmax", dmax), ("step", args.step)):
+        if not math.isfinite(value):
+            raise _CliError(2, f"{flag} must be finite: {value}")
     if args.step <= 0.0:
         raise _CliError(2, f"step must be positive: {args.step}")
     if not dmin < dmax:
@@ -173,15 +169,8 @@ def _cmd_sweep_range(args):
     )
     n = int((dmax - dmin) / args.step + 1e-9) + 1
     distances = [dmin + i * args.step for i in range(n)]
-    if args.tech == ACOUSTIC:
-        powers = acoustic_sweep(params, dmin, args.step, n)
-        max_range = acoustic_max_range(params, sensitivity)
-    elif args.tech == OPTICAL:
-        powers = optical_sweep(params, dmin, args.step, n)
-        max_range = optical_max_range(params, sensitivity)
-    else:
-        powers = mi_sweep(params, dmin, args.step, n)
-        max_range = mi_max_range(params, sensitivity)
+    powers = params.sweep(dmin, args.step, n)
+    max_range = params.max_range(sensitivity)
     if args.out:
         scenario_io.write_range_sweep_csv(args.out, distances, powers)
     print(f"max_range_m={fmt6(max_range)}")

@@ -12,7 +12,7 @@ Conventions used throughout the package:
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import DomainError, NoSolution
 
@@ -44,6 +44,13 @@ def linear_to_dbm(p_linear):
     return 10.0 * math.log10(p_linear)
 
 
+def require_finite(obj):
+    """Raise DomainError if a float or int field of a dataclass is NaN or infinite."""
+    for f in fields(obj):
+        if f.type in (float, int) and not math.isfinite(getattr(obj, f.name)):
+            raise DomainError(f"{f.name} must be finite: {getattr(obj, f.name)}")
+
+
 @dataclass(frozen=True)
 class Position3D:
     """Point in metres; z positive down, water surface at z = 0."""
@@ -53,9 +60,7 @@ class Position3D:
     z: float
 
     def __post_init__(self):
-        for name in ("x", "y", "z"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"non-finite coordinate {name}={getattr(self, name)}")
+        require_finite(self)
 
     def distance_to(self, other):
         return math.dist((self.x, self.y, self.z), (other.x, other.y, other.z))
@@ -69,6 +74,7 @@ class Medium:
     sound_speed_m_s: float = SOUND_SPEED_M_S
 
     def __post_init__(self):
+        require_finite(self)
         if self.density_kg_m3 <= 0.0 or self.sound_speed_m_s <= 0.0:
             raise DomainError("medium density and sound speed must be positive")
 
@@ -97,6 +103,36 @@ def propagation_delay(profile: TechnologyProfile, distance_m):
     return distance_m / profile.propagation_speed_m_s
 
 
+class LinkLaw:
+    """Distance checks, sweeps and the range solve shared by the link
+    parameter dataclasses.
+
+    A subclass defines ``rx_dbm(d)``, the received power in dBm at a
+    distance the caller has checked; ``min_distance_m``, the shortest
+    distance its law is defined at (distances must also be positive);
+    ``max_range_bracket_m``, the (d_min, d_max) searched by ``max_range``;
+    and ``sweep_range_m``, the default (start, end) of a CLI sweep.
+    """
+
+    def check_distance(self, distance_m):
+        if not (distance_m >= self.min_distance_m and distance_m > 0.0):
+            raise DomainError(
+                f"distance must be positive and at least {self.min_distance_m} m: "
+                f"{distance_m} m"
+            )
+
+    def sweep(self, d0, step, n):
+        """Received power at d0, d0+step, ... (n points)."""
+        self.check_distance(d0)
+        rx_dbm = self.rx_dbm
+        return [rx_dbm(d0 + i * step) for i in range(n)]
+
+    def max_range(self, sensitivity_dbm, tol_m=0.01):
+        """Largest range (m) still meeting the receiver sensitivity."""
+        d_min, d_max = self.max_range_bracket_m
+        return solve_max_range(self.rx_dbm, sensitivity_dbm, d_min, d_max, tol_m)
+
+
 def solve_max_range(rx_power_dbm, sensitivity_dbm, d_min, d_max, tol_m=0.01):
     """Largest distance at which a monotone link still meets the sensitivity.
 
@@ -108,9 +144,11 @@ def solve_max_range(rx_power_dbm, sensitivity_dbm, d_min, d_max, tol_m=0.01):
     either the link is still above the sensitivity at d_max (range
     exceeds the bracket) or already below it at d_min (unreachable).
     """
-    if not d_min < d_max:
+    if not math.isfinite(sensitivity_dbm):
+        raise DomainError(f"sensitivity must be finite: {sensitivity_dbm} dBm")
+    if not (math.isfinite(d_min) and math.isfinite(d_max) and d_min < d_max):
         raise DomainError(f"invalid bracket [{d_min}, {d_max}]")
-    if tol_m <= 0.0:
+    if not 0.0 < tol_m < math.inf:
         raise DomainError(f"invalid tolerance {tol_m}")
     if rx_power_dbm(d_min) < sensitivity_dbm:
         raise NoSolution(

@@ -13,9 +13,10 @@ losses at 75 kHz over <100 m are absorbed there too.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from math import log10
 
-from . import kernels
-from .core import NEG_INF_DBM, solve_max_range
+from .core import NEG_INF_DBM, LinkLaw, require_finite
 from .errors import DomainError
 
 MU0_H_PER_M = 4.0e-7 * math.pi
@@ -29,7 +30,7 @@ MAX_RANGE_BRACKET_MAX_M = 1_000.0
 
 
 @dataclass(frozen=True)
-class MiLinkParams:
+class MiLinkParams(LinkLaw):
     transmit_power_mw: float = 100.0
     frequency_khz: float = 75.0
     permeability_h_per_m: float = MU0_H_PER_M
@@ -43,6 +44,7 @@ class MiLinkParams:
     calibration_gain_db: float = MI_CALIBRATION_GAIN_DB
 
     def __post_init__(self):
+        require_finite(self)
         positive = (
             ("transmit_power_mw", self.transmit_power_mw),
             ("frequency_khz", self.frequency_khz),
@@ -66,68 +68,62 @@ class MiLinkParams:
         """Dipole approximation is only trusted beyond the coil scale."""
         return max(self.coil_radius_tx_m, self.coil_radius_rx_m)
 
+    min_distance_m = reference_distance_m
 
-def _geometry_db(params: MiLinkParams):
-    """10*log10 of the coil/misalignment factor (-inf for orthogonal coils)."""
-    beta = params.misalignment_beta_deg
-    # exact zero at the orthogonal endpoint (cos(radians(90)) is ~6e-17)
-    cos_beta = 0.0 if beta == 90.0 else math.cos(math.radians(beta))
-    factor = (
-        params.turns_tx
-        * params.turns_rx
-        * params.coil_radius_tx_m**3
-        * params.coil_radius_rx_m**3
-        * cos_beta
-        * cos_beta
-    )
-    if factor <= 0.0:
-        return NEG_INF_DBM
-    return 10.0 * math.log10(factor)
+    @property
+    def max_range_bracket_m(self):
+        return (self.reference_distance_m, MAX_RANGE_BRACKET_MAX_M)
 
+    @property
+    def sweep_range_m(self):
+        return (self.reference_distance_m, 100.0)
 
-def _check_distance(params: MiLinkParams, distance_m):
-    if distance_m < params.reference_distance_m:
-        raise DomainError(
-            f"distance {distance_m} m below coil reference distance "
-            f"{params.reference_distance_m} m"
+    @cached_property
+    def geometry_db(self):
+        """10*log10 of the coil/misalignment factor (-inf for orthogonal coils)."""
+        beta = self.misalignment_beta_deg
+        # exact zero at the orthogonal endpoint (cos(radians(90)) is ~6e-17)
+        cos_beta = 0.0 if beta == 90.0 else math.cos(math.radians(beta))
+        factor = (
+            self.turns_tx
+            * self.turns_rx
+            * self.coil_radius_tx_m**3
+            * self.coil_radius_rx_m**3
+            * cos_beta
+            * cos_beta
         )
+        if factor <= 0.0:
+            return NEG_INF_DBM
+        return 10.0 * log10(factor)
+
+    @cached_property
+    def const_db(self):
+        """Transmit power, calibration and geometry folded into one dB term."""
+        return 10.0 * log10(self.transmit_power_mw) + self.calibration_gain_db + self.geometry_db
+
+    def rx_dbm(self, d):
+        """Near-field coupled-coil received power, dBm: a pure 1/d^6 law."""
+        return self.const_db - 60.0 * log10(d)
 
 
 def mi_path_gain_db(params: MiLinkParams, distance_m):
     """Channel gain in dB; exact -60 dB/decade slope (negative beyond a few
     coil radii)."""
-    _check_distance(params, distance_m)
-    return kernels.mi_rx_dbm(params.calibration_gain_db + _geometry_db(params), distance_m)
+    params.check_distance(distance_m)
+    return params.calibration_gain_db + params.geometry_db - 60.0 * log10(distance_m)
 
 
 def received_power_dbm(params: MiLinkParams, distance_m):
     """Received power in dBm at a coil separation d >= coil radius."""
-    _check_distance(params, distance_m)
-    const_db = (
-        10.0 * math.log10(params.transmit_power_mw)
-        + params.calibration_gain_db
-        + _geometry_db(params)
-    )
-    return kernels.mi_rx_dbm(const_db, distance_m)
+    params.check_distance(distance_m)
+    return params.rx_dbm(distance_m)
 
 
 def sweep_received_power(params: MiLinkParams, d0, step, n):
     """Received power at d0, d0+step, ... (n points)."""
-    _check_distance(params, d0)
-    const_db = (
-        10.0 * math.log10(params.transmit_power_mw)
-        + params.calibration_gain_db
-        + _geometry_db(params)
-    )
-    return kernels.mi_sweep(const_db, d0, step, n)
+    return params.sweep(d0, step, n)
 
 
 def mi_max_range(params: MiLinkParams, sensitivity_dbm, tol_m=0.01):
     """Largest coil separation (m) still meeting the receiver sensitivity."""
-    return solve_max_range(
-        lambda d: received_power_dbm(params, d),
-        sensitivity_dbm,
-        params.reference_distance_m,
-        MAX_RANGE_BRACKET_MAX_M,
-        tol_m,
-    )
+    return params.max_range(sensitivity_dbm, tol_m)

@@ -15,9 +15,10 @@ just under 71 m for every standard water type.
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from math import log10
 
-from . import kernels
-from .core import NEG_INF_DBM, solve_max_range
+from .core import NEG_INF_DBM, LinkLaw, require_finite
 from .errors import DomainError
 
 DB_PER_NEPER = 10.0 / math.log(10.0)  # exp(-c*d) expressed in dB: -DB_PER_NEPER*c*d
@@ -51,15 +52,25 @@ def extinction_coefficient(water: WaterType):
     return _EXTINCTION_PER_M[WaterType(water)]
 
 
+def _cos_beta(beta_deg):
+    # exact zero at the orthogonal endpoint (cos(radians(90)) is ~6e-17)
+    return 0.0 if beta_deg == 90.0 else math.cos(math.radians(beta_deg))
+
+
 @dataclass(frozen=True)
-class OpticalLinkParams:
+class OpticalLinkParams(LinkLaw):
     transmit_power_mw: float = 250.0
     aperture_area_m2: float = 0.0011            # transmit and receive apertures, equal
     divergence_half_angle_deg: float = 0.25     # 0.5 deg full apex angle
     extinction_per_m: float = _EXTINCTION_PER_M[WaterType.CLEAR_OCEAN]
     misalignment_beta_deg: float = 0.0
 
+    min_distance_m = 0.0
+    max_range_bracket_m = MAX_RANGE_BRACKET_M
+    sweep_range_m = (0.1, 150.0)
+
     def __post_init__(self):
+        require_finite(self)
         if self.transmit_power_mw <= 0.0:
             raise DomainError(f"transmit power must be positive: {self.transmit_power_mw} mW")
         if self.aperture_area_m2 <= 0.0:
@@ -75,59 +86,51 @@ class OpticalLinkParams:
                 f"misalignment must be in [0, 90]: {self.misalignment_beta_deg} deg"
             )
 
+    @cached_property
+    def ptx_dbm(self):
+        return 10.0 * log10(self.transmit_power_mw)
+
+    @cached_property
+    def extinction_db_per_m(self):
+        return DB_PER_NEPER * self.extinction_per_m
+
+    @cached_property
+    def capture_db_1m(self):
+        """Aperture / beam-footprint ratio at 1 m, in dB (-inf at beta = 90)."""
+        footprint_1m = math.pi * math.tan(math.radians(self.divergence_half_angle_deg)) ** 2
+        capture = self.aperture_area_m2 * _cos_beta(self.misalignment_beta_deg)
+        if capture <= 0.0:
+            return NEG_INF_DBM
+        return 10.0 * log10(capture / footprint_1m)
+
+    def rx_dbm(self, d):
+        """Received optical power, dBm, at a slant range d > 0.
+
+        The geometric gain is capped at 0 dB inside the region where the
+        beam is narrower than the aperture.
+        """
+        g = self.capture_db_1m - 20.0 * log10(d)
+        if g > 0.0:
+            g = 0.0
+        return self.ptx_dbm - self.extinction_db_per_m * d + g
+
 
 def for_water(water: WaterType, **overrides):
     """Reference parameters with the extinction of a water class."""
     return OpticalLinkParams(extinction_per_m=extinction_coefficient(water), **overrides)
 
 
-def _cos_beta(beta_deg):
-    # exact zero at the orthogonal endpoint (cos(radians(90)) is ~6e-17)
-    return 0.0 if beta_deg == 90.0 else math.cos(math.radians(beta_deg))
-
-
-def _capture_db_1m(params: OpticalLinkParams):
-    """Aperture / beam-footprint ratio at 1 m, in dB (-inf at beta = 90)."""
-    footprint_1m = math.pi * math.tan(math.radians(params.divergence_half_angle_deg)) ** 2
-    capture = params.aperture_area_m2 * _cos_beta(params.misalignment_beta_deg)
-    if capture <= 0.0:
-        return NEG_INF_DBM
-    return 10.0 * math.log10(capture / footprint_1m)
-
-
 def received_power_dbm(params: OpticalLinkParams, distance_m):
     """Received optical power in dBm at a slant range (d > 0)."""
-    if distance_m <= 0.0:
-        raise DomainError(f"distance must be positive: {distance_m} m")
-    return kernels.optical_rx_dbm(
-        10.0 * math.log10(params.transmit_power_mw),
-        DB_PER_NEPER * params.extinction_per_m,
-        _capture_db_1m(params),
-        distance_m,
-    )
+    params.check_distance(distance_m)
+    return params.rx_dbm(distance_m)
 
 
 def sweep_received_power(params: OpticalLinkParams, d0, step, n):
     """Received power at d0, d0+step, ... (n points)."""
-    if d0 <= 0.0:
-        raise DomainError(f"distance must be positive: {d0} m")
-    return kernels.optical_sweep(
-        10.0 * math.log10(params.transmit_power_mw),
-        DB_PER_NEPER * params.extinction_per_m,
-        _capture_db_1m(params),
-        d0,
-        step,
-        n,
-    )
+    return params.sweep(d0, step, n)
 
 
 def optical_max_range(params: OpticalLinkParams, sensitivity_dbm, tol_m=0.01):
     """Largest range (m) still meeting the receiver sensitivity."""
-    d_min, d_max = MAX_RANGE_BRACKET_M
-    return solve_max_range(
-        lambda d: received_power_dbm(params, d),
-        sensitivity_dbm,
-        d_min,
-        d_max,
-        tol_m,
-    )
+    return params.max_range(sensitivity_dbm, tol_m)

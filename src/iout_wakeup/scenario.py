@@ -12,16 +12,15 @@ repeated runs produce byte-identical files.
 """
 
 import json
+from dataclasses import fields
 from decimal import Decimal
 from importlib import resources
 
-from .acoustic import AcousticLinkParams
-from .core import ACOUSTIC, OPTICAL, TECHNOLOGIES, Medium, Position3D
+from .core import ACOUSTIC, TECHNOLOGIES, Medium, Position3D
 from .energy import EnergyProfile, DEFAULT_ENERGY
 from .errors import ParseError, ValidationError
-from .mi import MiLinkParams
-from .optical import OpticalLinkParams, WaterType, extinction_coefficient
-from .sim import Buoy, Node, SimConfig, Uav, WakeRequest
+from .optical import WaterType, extinction_coefficient
+from .sim import LINK_TYPES, Buoy, Node, SimConfig, Uav, WakeRequest
 
 PRESET_NAMES = ("acoustic-fig3", "optical-fig4", "mi-fig5")
 
@@ -99,107 +98,41 @@ def _parse_medium(obj, path):
 
 
 def _parse_link(tech, obj, medium, path):
-    if tech == ACOUSTIC:
-        _check_keys(
-            obj, {"source_level_db", "frequency_khz", "spreading_exponent"}, (), path
-        )
-        defaults = AcousticLinkParams()
-        return AcousticLinkParams(
-            source_level_db=_number(obj, "source_level_db", path, defaults.source_level_db),
-            frequency_khz=_number(obj, "frequency_khz", path, defaults.frequency_khz),
-            medium=medium,
-            spreading_exponent=_number(
-                obj, "spreading_exponent", path, defaults.spreading_exponent
-            ),
-        )
-    if tech == OPTICAL:
-        _check_keys(
-            obj,
-            {
-                "transmit_power_mw",
-                "aperture_area_m2",
-                "divergence_half_angle_deg",
-                "extinction_per_m",
-                "water_type",
-                "misalignment_beta_deg",
-            },
-            (),
-            path,
-        )
-        defaults = OpticalLinkParams()
-        if "water_type" in obj and "extinction_per_m" in obj:
+    """Link params from the fields of the technology's params class.  The
+    acoustic medium comes from the top-level ``medium`` block, and
+    ``water_type`` is an alias that resolves ``extinction_per_m``."""
+    cls = LINK_TYPES[tech]
+    allowed = {f.name for f in fields(cls) if f.type is not Medium}
+    if "extinction_per_m" in allowed:
+        allowed.add("water_type")
+    _check_keys(obj, allowed, (), path)
+    kwargs = {}
+    for f in fields(cls):
+        if f.type is Medium:
+            kwargs[f.name] = medium
+        elif f.name in obj:
+            kwargs[f.name] = (_integer if f.type is int else _number)(obj, f.name, path)
+    if "water_type" in obj:
+        if "extinction_per_m" in obj:
             raise ValidationError(f"{path}: give water_type or extinction_per_m, not both")
-        if "water_type" in obj:
-            try:
-                extinction = extinction_coefficient(WaterType(obj["water_type"]))
-            except ValueError:
-                raise ValidationError(
-                    f"{path}.water_type: expected one of "
-                    f"{[w.value for w in WaterType]}"
-                ) from None
-        else:
-            extinction = _number(obj, "extinction_per_m", path, defaults.extinction_per_m)
-        return OpticalLinkParams(
-            transmit_power_mw=_number(obj, "transmit_power_mw", path, defaults.transmit_power_mw),
-            aperture_area_m2=_number(obj, "aperture_area_m2", path, defaults.aperture_area_m2),
-            divergence_half_angle_deg=_number(
-                obj, "divergence_half_angle_deg", path, defaults.divergence_half_angle_deg
-            ),
-            extinction_per_m=extinction,
-            misalignment_beta_deg=_number(
-                obj, "misalignment_beta_deg", path, defaults.misalignment_beta_deg
-            ),
-        )
-    _check_keys(
-        obj,
-        {
-            "transmit_power_mw",
-            "frequency_khz",
-            "permeability_h_per_m",
-            "turns_tx",
-            "turns_rx",
-            "coil_radius_tx_m",
-            "coil_radius_rx_m",
-            "unit_coil_resistance_ohm_per_m",
-            "misalignment_beta_deg",
-            "calibration_gain_db",
-        },
-        (),
-        path,
-    )
-    defaults = MiLinkParams()
-    return MiLinkParams(
-        transmit_power_mw=_number(obj, "transmit_power_mw", path, defaults.transmit_power_mw),
-        frequency_khz=_number(obj, "frequency_khz", path, defaults.frequency_khz),
-        permeability_h_per_m=_number(
-            obj, "permeability_h_per_m", path, defaults.permeability_h_per_m
-        ),
-        turns_tx=_integer(obj, "turns_tx", path) if "turns_tx" in obj else defaults.turns_tx,
-        turns_rx=_integer(obj, "turns_rx", path) if "turns_rx" in obj else defaults.turns_rx,
-        coil_radius_tx_m=_number(obj, "coil_radius_tx_m", path, defaults.coil_radius_tx_m),
-        coil_radius_rx_m=_number(obj, "coil_radius_rx_m", path, defaults.coil_radius_rx_m),
-        unit_coil_resistance_ohm_per_m=_number(
-            obj,
-            "unit_coil_resistance_ohm_per_m",
-            path,
-            defaults.unit_coil_resistance_ohm_per_m,
-        ),
-        misalignment_beta_deg=_number(
-            obj, "misalignment_beta_deg", path, defaults.misalignment_beta_deg
-        ),
-        calibration_gain_db=_number(
-            obj, "calibration_gain_db", path, defaults.calibration_gain_db
-        ),
-    )
+        try:
+            kwargs["extinction_per_m"] = extinction_coefficient(WaterType(obj["water_type"]))
+        except ValueError:
+            raise ValidationError(
+                f"{path}.water_type: expected one of {[w.value for w in WaterType]}"
+            ) from None
+    return cls(**kwargs)
 
 
-def _parse_energy(obj, path):
+def _parse_energy(tech, obj, path):
+    """Energy profile; omitted fields come from the technology's reference profile."""
     _check_keys(obj, {"capacity_mah", "active_ma", "sleep_ma", "active_s"}, (), path)
+    base = DEFAULT_ENERGY[tech]
     return EnergyProfile(
-        battery_capacity_mah=_number(obj, "capacity_mah", path, 950.0),
-        active_current_ma=_number(obj, "active_ma", path, 0.5),
-        sleep_current_ma=_number(obj, "sleep_ma", path, 0.015),
-        active_duration_s=_number(obj, "active_s", path, 1.0),
+        battery_capacity_mah=_number(obj, "capacity_mah", path, base.battery_capacity_mah),
+        active_current_ma=_number(obj, "active_ma", path, base.active_current_ma),
+        sleep_current_ma=_number(obj, "sleep_ma", path, base.sleep_current_ma),
+        active_duration_s=_number(obj, "active_s", path, base.active_duration_s),
     )
 
 
@@ -274,7 +207,7 @@ def parse_scenario_data(data) -> SimConfig:
             raise ValidationError(f"{path}.position: node above surface (z must be > 0)")
         link = _parse_link(tech, raw.get("link", {}), medium, f"{path}.link")
         energy = (
-            _parse_energy(raw["energy"], f"{path}.energy")
+            _parse_energy(tech, raw["energy"], f"{path}.energy")
             if "energy" in raw
             else DEFAULT_ENERGY[tech]
         )
@@ -335,32 +268,7 @@ def parse_scenario(path) -> SimConfig:
 
 def _serialize_link(node: Node):
     p = node.link_params
-    if node.technology == ACOUSTIC:
-        return {
-            "source_level_db": p.source_level_db,
-            "frequency_khz": p.frequency_khz,
-            "spreading_exponent": p.spreading_exponent,
-        }
-    if node.technology == OPTICAL:
-        return {
-            "transmit_power_mw": p.transmit_power_mw,
-            "aperture_area_m2": p.aperture_area_m2,
-            "divergence_half_angle_deg": p.divergence_half_angle_deg,
-            "extinction_per_m": p.extinction_per_m,
-            "misalignment_beta_deg": p.misalignment_beta_deg,
-        }
-    return {
-        "transmit_power_mw": p.transmit_power_mw,
-        "frequency_khz": p.frequency_khz,
-        "permeability_h_per_m": p.permeability_h_per_m,
-        "turns_tx": p.turns_tx,
-        "turns_rx": p.turns_rx,
-        "coil_radius_tx_m": p.coil_radius_tx_m,
-        "coil_radius_rx_m": p.coil_radius_rx_m,
-        "unit_coil_resistance_ohm_per_m": p.unit_coil_resistance_ohm_per_m,
-        "misalignment_beta_deg": p.misalignment_beta_deg,
-        "calibration_gain_db": p.calibration_gain_db,
-    }
+    return {f.name: getattr(p, f.name) for f in fields(p) if f.type is not Medium}
 
 
 def serialize_scenario(config: SimConfig) -> dict:

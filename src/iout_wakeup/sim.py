@@ -53,7 +53,9 @@ _NS = 1_000_000_000
 # then fresh UAV emissions.
 _PRIO_SLEEP, _PRIO_RF, _PRIO_WUS, _PRIO_REQUEST = 0, 1, 2, 3
 
-_LINK_TYPES = {
+# The link law of each technology: its params class computes received
+# power (``rx_dbm``) and the shortest distance the law holds at.
+LINK_TYPES = {
     ACOUSTIC: acoustic.AcousticLinkParams,
     OPTICAL: optical.OpticalLinkParams,
     MI: mi.MiLinkParams,
@@ -81,7 +83,7 @@ class Node:
         if self.technology not in TECHNOLOGIES:
             raise ConfigError(f"unknown technology: {self.technology}")
         if self.link_params is None:
-            self.link_params = _LINK_TYPES[self.technology]()
+            self.link_params = LINK_TYPES[self.technology]()
         if self.sensitivity_dbm is None:
             self.sensitivity_dbm = PROFILES[self.technology].default_sensitivity_dbm
         if self.energy is None:
@@ -233,22 +235,6 @@ class _NodeRuntime:
             self.sleep_ns += duration_ns
 
 
-def _received_power_dbm(node: Node, distance_m):
-    if node.technology == ACOUSTIC:
-        return acoustic.received_power_density_dbm(node.link_params, distance_m)
-    if node.technology == OPTICAL:
-        return optical.received_power_dbm(node.link_params, distance_m)
-    return mi.received_power_dbm(node.link_params, distance_m)
-
-
-def _min_link_distance(node: Node):
-    if node.technology == ACOUSTIC:
-        return acoustic.REFERENCE_DISTANCE_M
-    if node.technology == MI:
-        return node.link_params.reference_distance_m
-    return 0.0
-
-
 def _validate(config: SimConfig):
     if config.horizon_s <= 0.0:
         raise ConfigError(f"horizon must be positive: {config.horizon_s}")
@@ -275,7 +261,7 @@ def _validate(config: SimConfig):
         seen.add(node.address)
         if node.position.z <= 0.0:
             raise ConfigError(f"node above surface: address={node.address} z={node.position.z}")
-        if not isinstance(node.link_params, _LINK_TYPES[node.technology]):
+        if not isinstance(node.link_params, LINK_TYPES[node.technology]):
             raise ConfigError(
                 f"node {node.address}: link params do not match technology {node.technology}"
             )
@@ -284,7 +270,7 @@ def _validate(config: SimConfig):
                 f"node {node.address}: initial charge {node.remaining_charge_mah} outside "
                 f"[0, {node.energy.battery_capacity_mah}]"
             )
-        d_min = _min_link_distance(node)
+        d_min = node.link_params.min_distance_m
         for i, buoy in enumerate(config.buoys):
             if buoy.position.distance_to(node.position) < max(d_min, 1e-9):
                 raise ConfigError(
@@ -392,7 +378,7 @@ def run(config: SimConfig) -> SimReport:
             nrt.settle(t, events)
             buoy = config.buoys[signal.origin]
             dist = buoy.position.distance_to(nrt.node.position)
-            rx_dbm = _received_power_dbm(nrt.node, dist)
+            rx_dbm = nrt.node.link_params.rx_dbm(dist)
             if nrt.depleted:
                 events.append(SimEvent(t, actor, "wus_arrival", "depleted"))
                 fail(t, DEPLETED, actor, f"target={signal.target_address}")

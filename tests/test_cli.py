@@ -69,6 +69,39 @@ def test_sweep_range_unknown_tech_exits_2(capsys):
     assert ERROR_LINE.match(capsys.readouterr().err.strip())
 
 
+# Every float flag of sweep-range, under each technology that reads it.
+_SWEEP_FLOAT_FLAGS = {
+    "acoustic": ("--sl-db", "--spreading", "--density-kg-m3", "--sound-speed-m-s", "--freq-khz"),
+    "optical": (
+        "--ptx-mw", "--aperture-m2", "--divergence-half-deg", "--extinction-per-m", "--beta-deg",
+    ),
+    "mi": (
+        "--freq-khz", "--ptx-mw", "--beta-deg", "--radius-tx-m", "--radius-rx-m", "--cal-gain-db",
+    ),
+}
+_SWEEP_SHARED_FLOAT_FLAGS = ("--sensitivity-dbm", "--dmin", "--dmax", "--step")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "tech,flag",
+    [
+        (tech, flag)
+        for tech, flags in _SWEEP_FLOAT_FLAGS.items()
+        for flag in _SWEEP_SHARED_FLOAT_FLAGS + flags
+    ],
+)
+def test_sweep_range_non_finite_flag_is_an_error(tech, flag, value, capsys):
+    rc = main(["sweep-range", "--tech", tech, f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert rc in (2, 3)
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert ERROR_LINE.match(lines[0])
+    assert captured.out == ""
+
+
 def test_lifetime_no_wakeup_constant(capsys):
     rc = main(["lifetime", "--tech", "acoustic", "--policy", "nowu"])
     assert rc == 0

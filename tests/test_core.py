@@ -139,6 +139,16 @@ def test_solver_rejects_bad_bracket():
         solve_max_range(_ramp, -10.0, 1.0, 1000.0, tol_m=0.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_solver_rejects_non_finite_input(value):
+    with pytest.raises(DomainError):
+        solve_max_range(_ramp, value, 1.0, 1000.0)
+    with pytest.raises(DomainError):
+        solve_max_range(_ramp, -10.0, 1.0, value)
+    with pytest.raises(DomainError):
+        solve_max_range(_ramp, -10.0, 1.0, 1000.0, tol_m=value)
+
+
 def test_solver_deterministic():
     runs = {solve_max_range(_ramp, -55.5, 1.0, 1000.0, tol_m=0.001) for _ in range(5)}
     assert len(runs) == 1

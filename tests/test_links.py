@@ -1,0 +1,27 @@
+"""Properties shared by the three link laws and their registry."""
+
+import math
+from dataclasses import fields
+
+import pytest
+
+from iout_wakeup.core import Medium
+from iout_wakeup.errors import DomainError
+from iout_wakeup.sim import LINK_TYPES
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls", [*LINK_TYPES.values(), Medium], ids=lambda c: c.__name__)
+def test_non_finite_field_rejected(cls, value):
+    for f in fields(cls):
+        if f.type is float:
+            with pytest.raises(DomainError, match=f.name):
+                cls(**{f.name: value})
+
+
+@pytest.mark.parametrize("cls", LINK_TYPES.values(), ids=lambda c: c.__name__)
+def test_distance_below_the_law_rejected(cls):
+    params = cls()
+    for bad in (params.min_distance_m * 0.5, 0.0, -1.0, math.nan):
+        with pytest.raises(DomainError):
+            params.sweep(bad, 1.0, 3)

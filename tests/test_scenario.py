@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from iout_wakeup.energy import DEFAULT_ENERGY
 from iout_wakeup.errors import ParseError, ValidationError
 from iout_wakeup.scenario import (
     PRESET_NAMES,
@@ -76,6 +77,18 @@ def test_water_type_resolves_extinction():
     doc["nodes"][0].update({"tech": "optical", "link": {"water_type": "coastal"}})
     config = parse_scenario_text(json.dumps(doc))
     assert config.nodes[0].link_params.extinction_per_m == 0.305
+
+
+@pytest.mark.parametrize("tech", ["acoustic", "optical", "mi"])
+def test_partial_energy_block_takes_technology_defaults(tech):
+    doc = json.loads(MINIMAL)
+    doc["nodes"][0].update({"tech": tech, "energy": {"capacity_mah": 100}})
+    energy = parse_scenario_text(json.dumps(doc)).nodes[0].energy
+    base = DEFAULT_ENERGY[tech]
+    assert energy.battery_capacity_mah == 100.0
+    assert energy.active_current_ma == base.active_current_ma
+    assert energy.sleep_current_ma == base.sleep_current_ma
+    assert energy.active_duration_s == base.active_duration_s
 
 
 def test_malformed_json_is_parse_error_with_location():
