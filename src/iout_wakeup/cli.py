@@ -18,16 +18,11 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import fields
 
 from . import scenario as scenario_io
-from .acoustic import AcousticLinkParams
-from .core import ACOUSTIC, OPTICAL, PROFILES, Medium, TECHNOLOGIES
-from .energy import (
-    DEFAULT_ENERGY,
-    EnergyProfile,
-    WakePolicy,
-    lifetime_hours,
-)
+from .core import PROFILES, Medium, TECHNOLOGIES
+from .energy import WakePolicy, energy_profile, lifetime_hours
 from .errors import (
     ConfigError,
     DomainError,
@@ -36,22 +31,69 @@ from .errors import (
     PolicyError,
     ValidationError,
 )
-from .mi import MiLinkParams
-from .optical import OpticalLinkParams, WaterType, extinction_coefficient
+from .optical import WaterType
 from .scenario import fmt6
-from .sim import run
+from .sim import LINK_TYPES, link_fields, make_link, run
+
+# A sweep or rate grid longer than this is refused rather than allocated.
+MAX_POINTS = 1_000_000
+
+_MEDIUM_FIELDS = {f.name: f.type for f in fields(Medium)}
+
+# sweep-range flags that set a field of the --tech link (or of its medium):
+# flag -> field.  They have no defaults of their own; a field no flag sets
+# keeps its dataclass default.
+_LINK_FLAGS = {
+    "--sl-db": "source_level_db",
+    "--spreading": "spreading_exponent",
+    "--density-kg-m3": "density_kg_m3",
+    "--sound-speed-m-s": "sound_speed_m_s",
+    "--freq-khz": "frequency_khz",
+    "--ptx-mw": "transmit_power_mw",
+    "--aperture-m2": "aperture_area_m2",
+    "--divergence-half-deg": "divergence_half_angle_deg",
+    "--beta-deg": "misalignment_beta_deg",
+    "--water": "water_type",
+    "--extinction-per-m": "extinction_per_m",
+    "--turns-tx": "turns_tx",
+    "--turns-rx": "turns_rx",
+    "--radius-tx-m": "coil_radius_tx_m",
+    "--radius-rx-m": "coil_radius_rx_m",
+    "--cal-gain-db": "calibration_gain_db",
+}
+
+# lifetime flags that replace a field of the technology's energy profile.
+_ENERGY_FLAGS = {
+    "--capacity-mah": "battery_capacity_mah",
+    "--active-ma": "active_current_ma",
+    "--sleep-ma": "sleep_current_ma",
+    "--active-s": "active_duration_s",
+}
+
+# lifetime --policy: the CSV policy name and the wake policy at a rate.
+_POLICIES = {
+    "nowu": ("no_wakeup", lambda rate: WakePolicy.no_wakeup()),
+    "dc": ("duty_cycle", WakePolicy.duty_cycle),
+    "od": ("on_demand", WakePolicy.on_demand),
+}
 
 
 class _CliError(Exception):
     def __init__(self, code, detail):
         super().__init__(detail)
         self.code = code
-        self.detail = detail
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _CliError(2, message)
+
+
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite: {text}")
+    return value
 
 
 def _build_parser():
@@ -60,49 +102,35 @@ def _build_parser():
 
     sweep = sub.add_parser("sweep-range", help="received power vs distance + max range")
     sweep.add_argument("--tech", required=True, choices=TECHNOLOGIES)
-    sweep.add_argument("--sensitivity-dbm", type=float, default=None,
+    sweep.add_argument("--sensitivity-dbm", type=_finite_float, default=None,
                        help="receiver sensitivity (default per technology)")
-    sweep.add_argument("--dmin", type=float, default=None, help="sweep start, m")
-    sweep.add_argument("--dmax", type=float, default=None, help="sweep end, m")
-    sweep.add_argument("--step", type=float, default=1.0, help="sweep step, m")
+    sweep.add_argument("--dmin", type=_finite_float, default=None, help="sweep start, m")
+    sweep.add_argument("--dmax", type=_finite_float, default=None, help="sweep end, m")
+    sweep.add_argument("--step", type=_finite_float, default=1.0, help="sweep step, m")
     sweep.add_argument("--out", default=None, help="CSV output path")
-    # acoustic
-    sweep.add_argument("--sl-db", type=float, default=190.0, help="acoustic source level")
-    sweep.add_argument("--spreading", type=float, default=20.0,
-                       help="acoustic spreading exponent (10/15/20)")
-    sweep.add_argument("--density-kg-m3", type=float, default=1000.0)
-    sweep.add_argument("--sound-speed-m-s", type=float, default=1500.0)
-    # shared by acoustic (8 kHz) and mi (75 kHz)
-    sweep.add_argument("--freq-khz", type=float, default=None)
-    # shared by optical (250 mW) and mi (100 mW)
-    sweep.add_argument("--ptx-mw", type=float, default=None)
-    # optical
-    sweep.add_argument("--aperture-m2", type=float, default=0.0011)
-    sweep.add_argument("--divergence-half-deg", type=float, default=0.25)
-    sweep.add_argument("--water", choices=[w.value for w in WaterType], default=None)
-    sweep.add_argument("--extinction-per-m", type=float, default=None)
-    # shared by optical and mi
-    sweep.add_argument("--beta-deg", type=float, default=0.0, help="misalignment angle")
-    # mi
-    sweep.add_argument("--turns-tx", type=int, default=30)
-    sweep.add_argument("--turns-rx", type=int, default=30)
-    sweep.add_argument("--radius-tx-m", type=float, default=0.5)
-    sweep.add_argument("--radius-rx-m", type=float, default=0.5)
-    sweep.add_argument("--cal-gain-db", type=float, default=None,
-                       help="mi calibration gain (default: reference calibration)")
+    link = sweep.add_argument_group(
+        "link fields",
+        "each sets the named field of the --tech link; others keep their defaults. "
+        f"WATER_TYPE is one of {', '.join(w.value for w in WaterType)}",
+    )
+    types = {**_MEDIUM_FIELDS, **{k: v for t in TECHNOLOGIES for k, v in link_fields(t).items()}}
+    water = link.add_mutually_exclusive_group()
+    for flag, name in _LINK_FLAGS.items():
+        group = water if name in ("water_type", "extinction_per_m") else link
+        kind = _finite_float if types[name] is float else types[name]
+        group.add_argument(flag, dest=name, type=kind, metavar=name.upper())
 
     life = sub.add_parser("lifetime", help="lifetime vs transmissions per hour")
     life.add_argument("--tech", required=True, choices=TECHNOLOGIES)
-    life.add_argument("--policy", choices=["nowu", "dc", "od", "all"], default="all")
-    life.add_argument("--rate-per-hour", type=float, default=None,
+    life.add_argument("--policy", choices=[*_POLICIES, "all"], default="all")
+    life.add_argument("--rate-per-hour", type=_finite_float, default=None,
                       help="single activation rate (otherwise a sweep)")
-    life.add_argument("--rate-min", type=float, default=1.0)
-    life.add_argument("--rate-max", type=float, default=10.0)
-    life.add_argument("--rate-step", type=float, default=1.0)
-    life.add_argument("--capacity-mah", type=float, default=None)
-    life.add_argument("--active-ma", type=float, default=None)
-    life.add_argument("--sleep-ma", type=float, default=None)
-    life.add_argument("--active-s", type=float, default=None)
+    life.add_argument("--rate-min", type=_finite_float, default=1.0)
+    life.add_argument("--rate-max", type=_finite_float, default=10.0)
+    life.add_argument("--rate-step", type=_finite_float, default=1.0)
+    for flag, name in _ENERGY_FLAGS.items():
+        life.add_argument(flag, dest=name, type=_finite_float, metavar=name.upper(),
+                          help="overrides the technology's reference profile")
     life.add_argument("--out", default=None, help="CSV output path (default: stdout)")
 
     simulate = sub.add_parser("simulate", help="run a scenario through the event simulator")
@@ -113,41 +141,31 @@ def _build_parser():
     return parser
 
 
+def _given(args, flags):
+    """{field: value} of the flags given on the command line."""
+    return {name: getattr(args, name) for name in flags if getattr(args, name) is not None}
+
+
 def _sweep_params(args):
-    if args.tech == ACOUSTIC:
-        return AcousticLinkParams(
-            source_level_db=args.sl_db,
-            frequency_khz=args.freq_khz if args.freq_khz is not None else 8.0,
-            medium=Medium(args.density_kg_m3, args.sound_speed_m_s),
-            spreading_exponent=args.spreading,
-        )
-    if args.tech == OPTICAL:
-        if args.water is not None and args.extinction_per_m is not None:
-            raise _CliError(2, "give --water or --extinction-per-m, not both")
-        if args.extinction_per_m is not None:
-            ext = args.extinction_per_m
-        else:
-            ext = extinction_coefficient(WaterType(args.water or "clear_ocean"))
-        return OpticalLinkParams(
-            transmit_power_mw=args.ptx_mw if args.ptx_mw is not None else 250.0,
-            aperture_area_m2=args.aperture_m2,
-            divergence_half_angle_deg=args.divergence_half_deg,
-            extinction_per_m=ext,
-            misalignment_beta_deg=args.beta_deg,
-        )
-    kwargs = {}
-    if args.cal_gain_db is not None:
-        kwargs["calibration_gain_db"] = args.cal_gain_db
-    return MiLinkParams(
-        transmit_power_mw=args.ptx_mw if args.ptx_mw is not None else 100.0,
-        frequency_khz=args.freq_khz if args.freq_khz is not None else 75.0,
-        turns_tx=args.turns_tx,
-        turns_rx=args.turns_rx,
-        coil_radius_tx_m=args.radius_tx_m,
-        coil_radius_rx_m=args.radius_rx_m,
-        misalignment_beta_deg=args.beta_deg,
-        **kwargs,
-    )
+    """The --tech link from the given link flags; a flag that sets no field
+    of that link (or of the medium it runs in) is an error."""
+    given = _given(args, _LINK_FLAGS.values())
+    accepted = set(link_fields(args.tech))
+    if any(f.type is Medium for f in fields(LINK_TYPES[args.tech])):
+        accepted.update(_MEDIUM_FIELDS)
+    for name in given:
+        if name not in accepted:
+            raise _CliError(2, f"{name} is not a field of the {args.tech} link")
+    medium = Medium(**{name: given.pop(name) for name in _MEDIUM_FIELDS if name in given})
+    return make_link(args.tech, medium, **given)
+
+
+def _grid(start, stop, step):
+    """start, start+step, ... up to stop (inclusive within 1e-9 steps)."""
+    count = (stop - start) / step
+    if count > MAX_POINTS:
+        raise _CliError(2, f"grid of more than {MAX_POINTS} points")
+    return [start + i * step for i in range(int(count + 1e-9) + 1)]
 
 
 def _cmd_sweep_range(args):
@@ -155,9 +173,6 @@ def _cmd_sweep_range(args):
     default_min, default_max = params.sweep_range_m
     dmin = args.dmin if args.dmin is not None else default_min
     dmax = args.dmax if args.dmax is not None else default_max
-    for flag, value in (("dmin", dmin), ("dmax", dmax), ("step", args.step)):
-        if not math.isfinite(value):
-            raise _CliError(2, f"{flag} must be finite: {value}")
     if args.step <= 0.0:
         raise _CliError(2, f"step must be positive: {args.step}")
     if not dmin < dmax:
@@ -167,9 +182,8 @@ def _cmd_sweep_range(args):
         if args.sensitivity_dbm is not None
         else PROFILES[args.tech].default_sensitivity_dbm
     )
-    n = int((dmax - dmin) / args.step + 1e-9) + 1
-    distances = [dmin + i * args.step for i in range(n)]
-    powers = params.sweep(dmin, args.step, n)
+    distances = _grid(dmin, dmax, args.step)
+    powers = params.sweep(dmin, args.step, len(distances))
     max_range = params.max_range(sensitivity)
     if args.out:
         scenario_io.write_range_sweep_csv(args.out, distances, powers)
@@ -177,44 +191,20 @@ def _cmd_sweep_range(args):
     return 0
 
 
-def _lifetime_profile(args):
-    base = DEFAULT_ENERGY[args.tech]
-    return EnergyProfile(
-        battery_capacity_mah=args.capacity_mah if args.capacity_mah is not None
-        else base.battery_capacity_mah,
-        active_current_ma=args.active_ma if args.active_ma is not None
-        else base.active_current_ma,
-        sleep_current_ma=args.sleep_ma if args.sleep_ma is not None
-        else base.sleep_current_ma,
-        active_duration_s=args.active_s if args.active_s is not None
-        else base.active_duration_s,
-    )
-
-
 def _cmd_lifetime(args):
-    profile = _lifetime_profile(args)
+    profile = energy_profile(args.tech, **_given(args, _ENERGY_FLAGS.values()))
     if args.rate_per_hour is not None:
         rates = [args.rate_per_hour]
     else:
         if args.rate_step <= 0.0 or not args.rate_min <= args.rate_max:
             raise _CliError(2, "need rate-min <= rate-max and positive rate-step")
-        n = int((args.rate_max - args.rate_min) / args.rate_step + 1e-9) + 1
-        rates = [args.rate_min + i * args.rate_step for i in range(n)]
-    kinds = {
-        "nowu": [("no_wakeup", None)],
-        "dc": [("duty_cycle", WakePolicy.duty_cycle)],
-        "od": [("on_demand", WakePolicy.on_demand)],
-        "all": [
-            ("no_wakeup", None),
-            ("duty_cycle", WakePolicy.duty_cycle),
-            ("on_demand", WakePolicy.on_demand),
-        ],
-    }[args.policy]
-    rows = []
-    for name, factory in kinds:
-        for rate in rates:
-            policy = WakePolicy.no_wakeup() if factory is None else factory(rate)
-            rows.append((rate, lifetime_hours(profile, policy), name))
+        rates = _grid(args.rate_min, args.rate_max, args.rate_step)
+    kinds = _POLICIES.values() if args.policy == "all" else [_POLICIES[args.policy]]
+    rows = [
+        (rate, lifetime_hours(profile, policy(rate)), name)
+        for name, policy in kinds
+        for rate in rates
+    ]
     if args.out:
         scenario_io.write_lifetime_csv(args.out, rows)
     else:
@@ -249,23 +239,15 @@ def main(argv=None):
             return _cmd_lifetime(args)
         return _cmd_simulate(args)
     except _CliError as exc:
-        print(f"error: {exc.code}: {exc.detail}", file=sys.stderr)
-        return exc.code
+        code, detail = exc.code, exc
     except NoSolution as exc:
-        print(f"error: 3: {exc}", file=sys.stderr)
-        return 3
-    except ParseError as exc:
-        print(f"error: 2: {exc}", file=sys.stderr)
-        return 2
+        code, detail = 3, exc
     except (ValidationError, ConfigError) as exc:
-        print(f"error: 4: {exc}", file=sys.stderr)
-        return 4
-    except (DomainError, PolicyError) as exc:
-        print(f"error: 2: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: 2: {exc}", file=sys.stderr)
-        return 2
+        code, detail = 4, exc
+    except (ParseError, DomainError, PolicyError, OSError) as exc:
+        code, detail = 2, exc
+    print(f"error: {code}: {detail}", file=sys.stderr)
+    return code
 
 
 def main_entry():

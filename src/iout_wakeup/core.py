@@ -12,7 +12,9 @@ Conventions used throughout the package:
 """
 
 import math
+import sys
 from dataclasses import dataclass, fields
+from functools import cache
 
 from .errors import DomainError, NoSolution
 
@@ -44,11 +46,17 @@ def linear_to_dbm(p_linear):
     return 10.0 * math.log10(p_linear)
 
 
+@cache
+def _numeric_fields(cls):
+    return tuple(f.name for f in fields(cls) if f.type in (float, int))
+
+
 def require_finite(obj):
-    """Raise DomainError if a float or int field of a dataclass is NaN or infinite."""
-    for f in fields(obj):
-        if f.type in (float, int) and not math.isfinite(getattr(obj, f.name)):
-            raise DomainError(f"{f.name} must be finite: {getattr(obj, f.name)}")
+    """Raise DomainError if a float or int field of a dataclass is NaN,
+    infinite or an int beyond the float range."""
+    for name in _numeric_fields(type(obj)):
+        if not abs(getattr(obj, name)) <= sys.float_info.max:
+            raise DomainError(f"{name} must be finite: {getattr(obj, name)}")
 
 
 @dataclass(frozen=True)
@@ -81,18 +89,17 @@ class Medium:
 
 @dataclass(frozen=True)
 class TechnologyProfile:
-    """Reference data per wake-up technology (speed, sensitivity, range class)."""
+    """Reference data per wake-up technology (speed, sensitivity)."""
 
     kind: str
     propagation_speed_m_s: float
     default_sensitivity_dbm: float
-    range_class: str
 
 
 PROFILES = {
-    ACOUSTIC: TechnologyProfile(ACOUSTIC, SOUND_SPEED_M_S, -10.0, "long range (~km)"),
-    OPTICAL: TechnologyProfile(OPTICAL, LIGHT_SPEED_M_S, -53.0, "medium range (~10-100 m)"),
-    MI: TechnologyProfile(MI, LIGHT_SPEED_M_S, -69.0, "medium range (~10-100 m)"),
+    ACOUSTIC: TechnologyProfile(ACOUSTIC, SOUND_SPEED_M_S, -10.0),
+    OPTICAL: TechnologyProfile(OPTICAL, LIGHT_SPEED_M_S, -53.0),
+    MI: TechnologyProfile(MI, LIGHT_SPEED_M_S, -69.0),
 }
 
 

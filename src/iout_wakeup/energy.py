@@ -8,8 +8,9 @@ the same averaging formula and differ only in how many activations per
 hour they cause.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from .core import require_finite
 from .errors import DomainError, PolicyError
 
 NO_WAKEUP = "no_wakeup"
@@ -27,6 +28,7 @@ class EnergyProfile:
     active_duration_s: float    # per transmission burst
 
     def __post_init__(self):
+        require_finite(self)
         if self.battery_capacity_mah <= 0.0:
             raise DomainError(f"battery capacity must be positive: {self.battery_capacity_mah}")
         if not self.active_current_ma > self.sleep_current_ma > 0.0:
@@ -47,12 +49,18 @@ MI_ENERGY = EnergyProfile(950.0, 0.49, 0.043, 1.0)
 DEFAULT_ENERGY = {"acoustic": ACOUSTIC_ENERGY, "optical": OPTICAL_ENERGY, "mi": MI_ENERGY}
 
 
+def energy_profile(technology, **given):
+    """The reference profile of a technology with the given fields replaced."""
+    return replace(DEFAULT_ENERGY[technology], **given)
+
+
 @dataclass(frozen=True)
 class WakePolicy:
     kind: str
     rate_per_hour: float = 0.0  # transmissions per hour; unused for NO_WAKEUP
 
     def __post_init__(self):
+        require_finite(self)
         if self.kind not in (NO_WAKEUP, DUTY_CYCLE, ON_DEMAND):
             raise PolicyError(f"unknown policy kind: {self.kind}")
         if self.kind != NO_WAKEUP and self.rate_per_hour < 0.0:

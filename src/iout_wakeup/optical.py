@@ -101,7 +101,10 @@ class OpticalLinkParams(LinkLaw):
         capture = self.aperture_area_m2 * _cos_beta(self.misalignment_beta_deg)
         if capture <= 0.0:
             return NEG_INF_DBM
-        return 10.0 * log10(capture / footprint_1m)
+        if footprint_1m == 0.0:  # a beam too narrow for floats: the 0 dB cap applies
+            return math.inf
+        ratio = capture / footprint_1m
+        return 10.0 * log10(ratio) if ratio > 0.0 else NEG_INF_DBM
 
     def rx_dbm(self, d):
         """Received optical power, dBm, at a slant range d > 0.

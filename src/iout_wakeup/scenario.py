@@ -12,15 +12,17 @@ repeated runs produce byte-identical files.
 """
 
 import json
+import sys
 from dataclasses import fields
 from decimal import Decimal
+from functools import cache, partial
 from importlib import resources
 
-from .core import ACOUSTIC, TECHNOLOGIES, Medium, Position3D
-from .energy import EnergyProfile, DEFAULT_ENERGY
-from .errors import ParseError, ValidationError
-from .optical import WaterType, extinction_coefficient
-from .sim import LINK_TYPES, Buoy, Node, SimConfig, Uav, WakeRequest
+from .core import TECHNOLOGIES, LinkLaw, Medium, Position3D
+from .energy import EnergyProfile, energy_profile
+from .errors import DomainError, ParseError, ValidationError
+from .optical import WaterType
+from .sim import Buoy, Node, SimConfig, Uav, WakeRequest, link_fields, make_link
 
 PRESET_NAMES = ("acoustic-fig3", "optical-fig4", "mi-fig5")
 
@@ -44,7 +46,36 @@ def fmt6(x):
 
 
 # ---------------------------------------------------------------------------
-# schema helpers
+# records: JSON key -> dataclass field, one table per scenario record.  A
+# key a document leaves out is left out of the constructor call, so the
+# dataclass default applies.  Link records take ``sim.link_fields``.
+
+def _same(*names):
+    return dict(zip(names, names))
+
+
+_MEDIUM_KEYS = _same("density_kg_m3", "sound_speed_m_s")
+_UAV_KEYS = _same("position", "rf_range_m")
+_BUOY_KEYS = _same("position", "transmitters", "rf_wakeup_enabled", "rf_sensitivity_dbm")
+_NODE_KEYS = _same("address", "position", "sensitivity_dbm", "energy") | {
+    "tech": "technology",
+    "link": "link_params",
+}
+_ENERGY_KEYS = {
+    "capacity_mah": "battery_capacity_mah",
+    "active_ma": "active_current_ma",
+    "sleep_ma": "sleep_current_ma",
+    "active_s": "active_duration_s",
+}
+_REQUEST_KEYS = _same("time_s", "target_address")
+_LINK_KEYS = {t: (_same(*link_fields(t)), link_fields(t)) for t in TECHNOLOGIES}
+_SCENARIO_KEYS = ("medium", "uav", "buoys", "nodes", "wake_requests", "horizon_s")
+
+
+@cache
+def _field_types(cls):
+    return {f.name: f.type for f in fields(cls)}
+
 
 def _check_keys(obj, allowed, required, path):
     if not isinstance(obj, dict):
@@ -57,195 +88,110 @@ def _check_keys(obj, allowed, required, path):
             raise ValidationError(f"{path}: missing required key '{key}'")
 
 
-def _number(obj, key, path, default=None):
-    if key not in obj:
-        if default is None:
-            raise ValidationError(f"{path}: missing required key '{key}'")
-        return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{path}.{key}: expected a number")
-    return float(value)
+def _finite(value, kinds=(int, float)):
+    """A JSON number (not a bool) that is not NaN or infinite and fits the
+    float range (``json.loads`` accepts NaN and Infinity)."""
+    return type(value) in kinds and abs(value) <= sys.float_info.max
 
 
-def _integer(obj, key, path):
-    value = obj.get(key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{path}.{key}: expected an integer")
+def _reader(expected, accept, convert=lambda value: value):
+    def read(value, path, key):
+        if not accept(value):
+            raise ValidationError(f"{path}.{key}: expected {expected}")
+        return convert(value)
+    return read
+
+
+_WATER_TYPES = [w.value for w in WaterType]
+
+# One reader per field type.  Link and energy objects are built by the
+# node once it knows its technology.
+_READERS = {
+    float: _reader("a finite number", _finite, float),
+    int: _reader("an integer", lambda v: _finite(v, (int,))),
+    bool: _reader("a boolean", lambda v: isinstance(v, bool)),
+    str: _reader("a string", lambda v: isinstance(v, str)),
+    WaterType: _reader(f"one of {_WATER_TYPES}", lambda v: v in _WATER_TYPES, WaterType),
+    Position3D: _reader(
+        "[x, y, z] in metres",
+        lambda v: isinstance(v, list) and len(v) == 3 and all(map(_finite, v)),
+        lambda v: Position3D(*map(float, v)),
+    ),
+    tuple: _reader(
+        f"technologies from {TECHNOLOGIES}",
+        lambda v: isinstance(v, list) and all(t in TECHNOLOGIES for t in v),
+        tuple,
+    ),
+    object: _reader("an object", lambda v: isinstance(v, dict)),
+    EnergyProfile: _reader("an object", lambda v: isinstance(v, dict)),
+}
+
+
+def _record(make, keys, obj, path, required=(), types=None):
+    """make(**fields) from the keys obj gives, each read by the type of its
+    field (in ``types``, else in the dataclass ``make``); a value outside
+    the model's domain is a ValidationError at the record's path."""
+    _check_keys(obj, keys, required, path)
+    types = types or _field_types(make)
+    given = {keys[k]: _READERS[types[keys[k]]](v, path, k) for k, v in obj.items()}
+    try:
+        return make(**given)
+    except DomainError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
+def _list(data, key, required):
+    value = data[key]
+    if not isinstance(value, list) or required and not value:
+        raise ValidationError(f"{key}: expected a {'non-empty ' if required else ''}list")
     return value
-
-
-def _position(obj, key, path):
-    value = obj.get(key)
-    if (
-        not isinstance(value, list)
-        or len(value) != 3
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
-    ):
-        raise ValidationError(f"{path}.{key}: expected [x, y, z] in metres")
-    return Position3D(float(value[0]), float(value[1]), float(value[2]))
 
 
 # ---------------------------------------------------------------------------
 # parsing
 
-def _parse_medium(obj, path):
-    _check_keys(obj, {"density_kg_m3", "sound_speed_m_s"}, (), path)
-    return Medium(
-        density_kg_m3=_number(obj, "density_kg_m3", path, 1000.0),
-        sound_speed_m_s=_number(obj, "sound_speed_m_s", path, 1500.0),
-    )
-
-
-def _parse_link(tech, obj, medium, path):
-    """Link params from the fields of the technology's params class.  The
-    acoustic medium comes from the top-level ``medium`` block, and
-    ``water_type`` is an alias that resolves ``extinction_per_m``."""
-    cls = LINK_TYPES[tech]
-    allowed = {f.name for f in fields(cls) if f.type is not Medium}
-    if "extinction_per_m" in allowed:
-        allowed.add("water_type")
-    _check_keys(obj, allowed, (), path)
-    kwargs = {}
-    for f in fields(cls):
-        if f.type is Medium:
-            kwargs[f.name] = medium
-        elif f.name in obj:
-            kwargs[f.name] = (_integer if f.type is int else _number)(obj, f.name, path)
-    if "water_type" in obj:
-        if "extinction_per_m" in obj:
-            raise ValidationError(f"{path}: give water_type or extinction_per_m, not both")
-        try:
-            kwargs["extinction_per_m"] = extinction_coefficient(WaterType(obj["water_type"]))
-        except ValueError:
-            raise ValidationError(
-                f"{path}.water_type: expected one of {[w.value for w in WaterType]}"
-            ) from None
-    return cls(**kwargs)
-
-
-def _parse_energy(tech, obj, path):
-    """Energy profile; omitted fields come from the technology's reference profile."""
-    _check_keys(obj, {"capacity_mah", "active_ma", "sleep_ma", "active_s"}, (), path)
-    base = DEFAULT_ENERGY[tech]
-    return EnergyProfile(
-        battery_capacity_mah=_number(obj, "capacity_mah", path, base.battery_capacity_mah),
-        active_current_ma=_number(obj, "active_ma", path, base.active_current_ma),
-        sleep_current_ma=_number(obj, "sleep_ma", path, base.sleep_current_ma),
-        active_duration_s=_number(obj, "active_s", path, base.active_duration_s),
-    )
+def _node(medium, path, technology, position, link_params=None, energy=None, **given):
+    if technology not in TECHNOLOGIES:
+        raise ValidationError(f"{path}.tech: expected one of {TECHNOLOGIES}")
+    if position.z <= 0.0:
+        raise ValidationError(f"{path}.position: node above surface (z must be > 0)")
+    link = partial(make_link, technology, medium)
+    keys, types = _LINK_KEYS[technology]
+    given["link_params"] = _record(link, keys, link_params or {}, f"{path}.link", (), types)
+    if energy is not None:
+        profile = partial(energy_profile, technology)
+        types = _field_types(EnergyProfile)
+        given["energy"] = _record(profile, _ENERGY_KEYS, energy, f"{path}.energy", (), types)
+    return Node(technology=technology, position=position, **given)
 
 
 def parse_scenario_data(data) -> SimConfig:
     """Validate a decoded scenario document and build the sim config."""
-    _check_keys(
-        data,
-        {"medium", "uav", "buoys", "nodes", "wake_requests", "horizon_s"},
-        ("buoys", "nodes"),
-        "scenario",
-    )
-    medium = _parse_medium(data.get("medium", {}), "medium")
-
-    raw_buoys = data["buoys"]
-    if not isinstance(raw_buoys, list) or not raw_buoys:
-        raise ValidationError("buoys: expected a non-empty list")
-    buoys = []
-    for i, raw in enumerate(raw_buoys):
-        path = f"buoys[{i}]"
-        _check_keys(
-            raw,
-            {"position", "transmitters", "rf_wakeup_enabled", "rf_sensitivity_dbm"},
-            ("position",),
-            path,
-        )
-        transmitters = raw.get("transmitters", list(TECHNOLOGIES))
-        if not isinstance(transmitters, list) or any(
-            t not in TECHNOLOGIES for t in transmitters
-        ):
-            raise ValidationError(f"{path}.transmitters: expected technologies from {TECHNOLOGIES}")
-        enabled = raw.get("rf_wakeup_enabled", True)
-        if not isinstance(enabled, bool):
-            raise ValidationError(f"{path}.rf_wakeup_enabled: expected a boolean")
-        buoys.append(
-            Buoy(
-                position=_position(raw, "position", path),
-                transmitters=tuple(transmitters),
-                rf_wakeup_enabled=enabled,
-                rf_sensitivity_dbm=_number(raw, "rf_sensitivity_dbm", path, -100.0),
-            )
-        )
-
+    _check_keys(data, _SCENARIO_KEYS, ("buoys", "nodes"), "scenario")
+    medium = _record(Medium, _MEDIUM_KEYS, data.get("medium", {}), "medium")
+    buoys = [
+        _record(Buoy, _BUOY_KEYS, raw, f"buoys[{i}]", ("position",))
+        for i, raw in enumerate(_list(data, "buoys", True))
+    ]
     if "uav" in data:
-        path = "uav"
-        raw = data["uav"]
-        _check_keys(raw, {"position", "rf_range_m"}, ("position",), path)
-        uav = Uav(
-            position=_position(raw, "position", path),
-            rf_range_m=_number(raw, "rf_range_m", path, 1000.0),
-        )
+        uav = _record(Uav, _UAV_KEYS, data["uav"], "uav", ("position",))
     else:
         above = buoys[0].position
-        uav = Uav(position=Position3D(above.x, above.y, -10.0), rf_range_m=1000.0)
-
-    raw_nodes = data["nodes"]
-    if not isinstance(raw_nodes, list) or not raw_nodes:
-        raise ValidationError("nodes: expected a non-empty list")
-    nodes = []
-    for i, raw in enumerate(raw_nodes):
-        path = f"nodes[{i}]"
-        _check_keys(
-            raw,
-            {"address", "position", "tech", "link", "sensitivity_dbm", "energy"},
-            ("address", "position", "tech"),
-            path,
-        )
-        tech = raw["tech"]
-        if tech not in TECHNOLOGIES:
-            raise ValidationError(f"{path}.tech: expected one of {TECHNOLOGIES}")
-        position = _position(raw, "position", path)
-        if position.z <= 0.0:
-            raise ValidationError(f"{path}.position: node above surface (z must be > 0)")
-        link = _parse_link(tech, raw.get("link", {}), medium, f"{path}.link")
-        energy = (
-            _parse_energy(tech, raw["energy"], f"{path}.energy")
-            if "energy" in raw
-            else DEFAULT_ENERGY[tech]
-        )
-        sensitivity = (
-            _number(raw, "sensitivity_dbm", path) if "sensitivity_dbm" in raw else None
-        )
-        nodes.append(
-            Node(
-                address=_integer(raw, "address", path),
-                position=position,
-                technology=tech,
-                link_params=link,
-                sensitivity_dbm=sensitivity,
-                energy=energy,
-            )
-        )
-
-    raw_requests = data.get("wake_requests", [])
-    if not isinstance(raw_requests, list):
-        raise ValidationError("wake_requests: expected a list")
-    requests = []
-    for i, raw in enumerate(raw_requests):
-        path = f"wake_requests[{i}]"
-        _check_keys(raw, {"time_s", "target_address"}, ("time_s", "target_address"), path)
-        requests.append(
-            WakeRequest(
-                time_s=_number(raw, "time_s", path),
-                target_address=_integer(raw, "target_address", path),
-            )
-        )
-
-    return SimConfig(
-        uav=uav,
-        buoys=buoys,
-        nodes=nodes,
-        wake_requests=requests,
-        horizon_s=_number(data, "horizon_s", "scenario", 3600.0),
-    )
+        uav = Uav(Position3D(above.x, above.y, -10.0))
+    nodes = [
+        _record(partial(_node, medium, f"nodes[{i}]"), _NODE_KEYS, raw, f"nodes[{i}]",
+                ("address", "position", "tech"), _field_types(Node))
+        for i, raw in enumerate(_list(data, "nodes", True))
+    ]
+    given = {}
+    if "wake_requests" in data:
+        given["wake_requests"] = [
+            _record(WakeRequest, _REQUEST_KEYS, raw, f"wake_requests[{i}]", _REQUEST_KEYS)
+            for i, raw in enumerate(_list(data, "wake_requests", False))
+        ]
+    if "horizon_s" in data:
+        given["horizon_s"] = _READERS[float](data["horizon_s"], "scenario", "horizon_s")
+    return SimConfig(uav=uav, buoys=buoys, nodes=nodes, **given)
 
 
 def parse_scenario_text(text) -> SimConfig:
@@ -266,59 +212,34 @@ def parse_scenario(path) -> SimConfig:
 # ---------------------------------------------------------------------------
 # serialization (inverse of parse; emits every resolved field)
 
-def _serialize_link(node: Node):
-    p = node.link_params
-    return {f.name: getattr(p, f.name) for f in fields(p) if f.type is not Medium}
+def _dump(obj, keys):
+    return {key: _json_value(getattr(obj, name)) for key, name in keys.items()}
+
+
+def _json_value(value):
+    if isinstance(value, Position3D):
+        return [value.x, value.y, value.z]
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, EnergyProfile):
+        return _dump(value, _ENERGY_KEYS)
+    if isinstance(value, LinkLaw):
+        types = _field_types(type(value))
+        return {name: getattr(value, name) for name, t in types.items() if t is not Medium}
+    return value
 
 
 def serialize_scenario(config: SimConfig) -> dict:
     """Emit the fully resolved scenario document (parse round-trips it)."""
-    medium = Medium()
-    for node in config.nodes:
-        if node.technology == ACOUSTIC:
-            medium = node.link_params.medium
-            break
-    for node in config.nodes:
-        if node.technology == ACOUSTIC and node.link_params.medium != medium:
-            raise ValidationError("scenario format carries a single global medium")
+    media = {v for n in config.nodes for v in vars(n.link_params).values() if isinstance(v, Medium)}
+    if len(media) > 1:
+        raise ValidationError("scenario format carries a single global medium")
     return {
-        "medium": {
-            "density_kg_m3": medium.density_kg_m3,
-            "sound_speed_m_s": medium.sound_speed_m_s,
-        },
-        "uav": {
-            "position": [config.uav.position.x, config.uav.position.y, config.uav.position.z],
-            "rf_range_m": config.uav.rf_range_m,
-        },
-        "buoys": [
-            {
-                "position": [b.position.x, b.position.y, b.position.z],
-                "transmitters": list(b.transmitters),
-                "rf_wakeup_enabled": b.rf_wakeup_enabled,
-                "rf_sensitivity_dbm": b.rf_sensitivity_dbm,
-            }
-            for b in config.buoys
-        ],
-        "nodes": [
-            {
-                "address": n.address,
-                "position": [n.position.x, n.position.y, n.position.z],
-                "tech": n.technology,
-                "link": _serialize_link(n),
-                "sensitivity_dbm": n.sensitivity_dbm,
-                "energy": {
-                    "capacity_mah": n.energy.battery_capacity_mah,
-                    "active_ma": n.energy.active_current_ma,
-                    "sleep_ma": n.energy.sleep_current_ma,
-                    "active_s": n.energy.active_duration_s,
-                },
-            }
-            for n in config.nodes
-        ],
-        "wake_requests": [
-            {"time_s": r.time_s, "target_address": r.target_address}
-            for r in config.wake_requests
-        ],
+        "medium": _dump(media.pop() if media else Medium(), _MEDIUM_KEYS),
+        "uav": _dump(config.uav, _UAV_KEYS),
+        "buoys": [_dump(b, _BUOY_KEYS) for b in config.buoys],
+        "nodes": [_dump(n, _NODE_KEYS) for n in config.nodes],
+        "wake_requests": [_dump(r, _REQUEST_KEYS) for r in config.wake_requests],
         "horizon_s": config.horizon_s,
     }
 

@@ -23,7 +23,7 @@ is accounted, exactly: consumed = I_active*t_active/3600 + I_sleep*t_sleep/3600.
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from . import acoustic, mi, optical
 from .core import (
@@ -33,11 +33,12 @@ from .core import (
     OPTICAL,
     PROFILES,
     TECHNOLOGIES,
+    Medium,
     Position3D,
     propagation_delay,
 )
-from .energy import EnergyProfile, DEFAULT_ENERGY, WakePolicy
-from .errors import ConfigError, PolicyError
+from .energy import EnergyProfile, DEFAULT_ENERGY
+from .errors import ConfigError, DomainError, PolicyError
 
 SLEEP = "sleep"
 ACTIVE = "active"
@@ -62,8 +63,33 @@ LINK_TYPES = {
 }
 
 
+def link_fields(technology):
+    """Name -> type of each value ``make_link`` takes for a technology: the
+    fields of its params class but a ``Medium`` one, and ``water_type``
+    where the class has ``extinction_per_m``."""
+    names = {f.name: f.type for f in fields(LINK_TYPES[technology]) if f.type is not Medium}
+    if "extinction_per_m" in names:
+        names["water_type"] = optical.WaterType
+    return names
+
+
+def make_link(technology, medium=Medium(), water_type=None, **given):
+    """Link params of a technology from the given fields of its params class.
+    ``medium`` fills a ``Medium``-typed field (links without one ignore it)
+    and ``water_type`` resolves ``extinction_per_m``."""
+    cls = LINK_TYPES[technology]
+    if water_type is not None:
+        if "extinction_per_m" in given:
+            raise DomainError("give water_type or extinction_per_m, not both")
+        given["extinction_per_m"] = optical.extinction_coefficient(water_type)
+    given.update((f.name, medium) for f in fields(cls) if f.type is Medium)
+    return cls(**given)
+
+
 def _to_ns(seconds):
-    return int(round(seconds * _NS))
+    """Whole nanoseconds; inf past the float range, beyond any horizon."""
+    ns = seconds * _NS
+    return int(round(ns)) if ns < math.inf else math.inf
 
 
 @dataclass
@@ -119,7 +145,6 @@ class WakeRequest:
 class WakeUpSignal:
     target_address: int
     technology: str
-    emit_time_s: float
     origin: int  # buoy index
 
 
@@ -128,9 +153,8 @@ class SimConfig:
     uav: Uav
     buoys: list
     nodes: list
-    wake_requests: list
+    wake_requests: list = field(default_factory=list)
     horizon_s: float = 3600.0
-    policy: WakePolicy = None  # metadata; request generation is the caller's job
 
 
 @dataclass(frozen=True)
@@ -216,7 +240,7 @@ class _NodeRuntime:
         budget_mah = self.initial_mah - consumed
         interval_mah = current * (delta / _NS) / 3600.0
         if interval_mah >= budget_mah:
-            lived = min(delta, int(budget_mah * 3600.0 * _NS / current))
+            lived = int(min(delta, budget_mah * 3600.0 * _NS / current))
             self._credit(lived)
             self.depleted = True
             self.depleted_ns = self.last_ns + lived
@@ -236,13 +260,13 @@ class _NodeRuntime:
 
 
 def _validate(config: SimConfig):
-    if config.horizon_s <= 0.0:
-        raise ConfigError(f"horizon must be positive: {config.horizon_s}")
+    if not (config.horizon_s > 0.0 and _to_ns(config.horizon_s) < math.inf):
+        raise ConfigError(f"horizon must be positive and finite: {config.horizon_s}")
     if config.uav is None:
         raise ConfigError("config needs a uav")
     if config.uav.position.z >= 0.0:
         raise ConfigError("uav below surface: z must be negative")
-    if config.uav.rf_range_m <= 0.0:
+    if not config.uav.rf_range_m > 0.0:
         raise ConfigError(f"rf range must be positive: {config.uav.rf_range_m}")
     if not config.buoys:
         raise ConfigError("config needs at least one buoy")
@@ -261,6 +285,10 @@ def _validate(config: SimConfig):
         seen.add(node.address)
         if node.position.z <= 0.0:
             raise ConfigError(f"node above surface: address={node.address} z={node.position.z}")
+        if not math.isfinite(node.sensitivity_dbm):
+            raise ConfigError(
+                f"node {node.address}: sensitivity must be finite: {node.sensitivity_dbm}"
+            )
         if not isinstance(node.link_params, LINK_TYPES[node.technology]):
             raise ConfigError(
                 f"node {node.address}: link params do not match technology {node.technology}"
@@ -278,7 +306,7 @@ def _validate(config: SimConfig):
                     f"distance to buoy {i}"
                 )
     for req in config.wake_requests:
-        if req.time_s < 0.0:
+        if not req.time_s >= 0.0:
             raise ConfigError(f"wake request before t=0: {req.time_s}")
         if not 0 <= req.target_address <= MAX_ADDRESS:
             raise ConfigError(f"request address out of 16-bit range: {req.target_address}")
@@ -299,7 +327,9 @@ def run(config: SimConfig) -> SimReport:
     seq = itertools.count()
 
     def push(time_ns, prio, actor_key, payload):
-        heapq.heappush(heap, (time_ns, prio, actor_key, next(seq), payload))
+        # Entries past the horizon would never be popped (inf ones included).
+        if time_ns <= horizon_ns:
+            heapq.heappush(heap, (time_ns, prio, actor_key, next(seq), payload))
 
     for req in config.wake_requests:
         push(_to_ns(req.time_s), _PRIO_REQUEST, 0, ("request", req))
@@ -311,8 +341,6 @@ def run(config: SimConfig) -> SimReport:
 
     while heap:
         t, _prio, _key, _seq, payload = heapq.heappop(heap)
-        if t > horizon_ns:
-            break
         kind = payload[0]
 
         if kind == "request":
@@ -321,7 +349,7 @@ def run(config: SimConfig) -> SimReport:
             delivered = False
             for bidx, buoy in enumerate(config.buoys):
                 dist = config.uav.position.distance_to(buoy.position)
-                if dist <= config.uav.rf_range_m:
+                if buoy.rf_wakeup_enabled and dist <= config.uav.rf_range_m:
                     delivered = True
                     push(
                         t + _to_ns(dist / LIGHT_SPEED_M_S),
@@ -358,7 +386,7 @@ def run(config: SimConfig) -> SimReport:
                 events.append(
                     SimEvent(t, actor, "wus_emit", f"tech={tech} target={req.target_address}")
                 )
-                signal = WakeUpSignal(req.target_address, tech, t / _NS, bidx)
+                signal = WakeUpSignal(req.target_address, tech, bidx)
                 for node in config.nodes:
                     if node.technology != tech:
                         continue
@@ -473,7 +501,7 @@ def simulate_lifetime(node: Node, wake_rate_per_hour, horizon_hours):
     horizon.  Returns the depletion time if the battery dies inside the
     horizon, otherwise extrapolates linearly from the consumed charge.
     """
-    if wake_rate_per_hour < 0.0:
+    if not wake_rate_per_hour >= 0.0:
         raise PolicyError(f"rate must be non-negative: {wake_rate_per_hour}")
     if wake_rate_per_hour * node.energy.active_duration_s > 3600.0:
         raise PolicyError(

@@ -1,11 +1,18 @@
 """CLI surface: flags, CSV files, exit codes, error line format."""
 
+import contextlib
+import io
 import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iout_wakeup.cli import main
+from iout_wakeup.core import PROFILES, Medium
+from iout_wakeup.scenario import fmt6
+from iout_wakeup.sim import make_link
 
 ERROR_LINE = re.compile(r"^error: \d: .+$")
 
@@ -92,7 +99,22 @@ _SWEEP_SHARED_FLOAT_FLAGS = ("--sensitivity-dbm", "--dmin", "--dmax", "--step")
     ],
 )
 def test_sweep_range_non_finite_flag_is_an_error(tech, flag, value, capsys):
-    rc = main(["sweep-range", "--tech", tech, f"{flag}={value}"])
+    _assert_one_error_line(main(["sweep-range", "--tech", tech, f"{flag}={value}"]), capsys)
+
+
+_LIFETIME_FLOAT_FLAGS = (
+    "--rate-per-hour", "--rate-min", "--rate-max", "--rate-step",
+    "--capacity-mah", "--active-ma", "--sleep-ma", "--active-s",
+)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", _LIFETIME_FLOAT_FLAGS)
+def test_lifetime_non_finite_flag_is_an_error(flag, value, capsys):
+    _assert_one_error_line(main(["lifetime", "--tech", "acoustic", f"{flag}={value}"]), capsys)
+
+
+def _assert_one_error_line(rc, capsys):
     captured = capsys.readouterr()
     assert rc in (2, 3)
     assert "Traceback" not in captured.err
@@ -100,6 +122,69 @@ def test_sweep_range_non_finite_flag_is_an_error(tech, flag, value, capsys):
     assert len(lines) == 1
     assert ERROR_LINE.match(lines[0])
     assert captured.out == ""
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    value=st.one_of(st.floats().map(repr), st.sampled_from(["1e400", "-0", "1e-320", "", "x"])),
+)
+def test_any_float_flag_value_exits_cleanly(data, value):
+    tech = data.draw(st.sampled_from(sorted(_SWEEP_FLOAT_FLAGS)))
+    command, flag = data.draw(st.sampled_from([
+        *(("sweep-range", flag) for flag in _SWEEP_SHARED_FLOAT_FLAGS + _SWEEP_FLOAT_FLAGS[tech]),
+        *(("lifetime", flag) for flag in _LIFETIME_FLOAT_FLAGS),
+    ]))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main([command, "--tech", tech, f"{flag}={value}"])
+    lines = err.getvalue().splitlines()
+    assert rc in (0, 2, 3, 4)
+    assert len(lines) == (rc != 0)
+    assert all(ERROR_LINE.match(line) for line in lines)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--tech", "acoustic", "--turns-tx", "3"],
+        ["--tech", "acoustic", "--water", "harbor"],
+        ["--tech", "optical", "--density-kg-m3", "1000"],
+        ["--tech", "mi", "--spreading", "10"],
+        ["--tech", "optical", "--water", "harbor", "--extinction-per-m", "0.1"],
+        ["--tech", "acoustic", "--dmax", "1e300"],
+    ],
+)
+def test_sweep_range_rejected_flags_exit_2(argv, capsys):
+    rc = main(["sweep-range", *argv])
+    assert rc == 2
+    _assert_one_error_line(rc, capsys)
+
+
+@pytest.mark.parametrize(
+    "tech,argv,fields",
+    [
+        ("acoustic", ["--sl-db", "185", "--spreading", "15", "--freq-khz", "12"],
+         {"source_level_db": 185.0, "spreading_exponent": 15.0, "frequency_khz": 12.0}),
+        ("acoustic", ["--density-kg-m3", "1100", "--sound-speed-m-s", "1450"],
+         {"medium": Medium(1100.0, 1450.0)}),
+        ("optical", ["--ptx-mw", "100", "--aperture-m2", "0.002", "--divergence-half-deg", "0.5",
+                     "--water", "coastal", "--beta-deg", "10"],
+         {"transmit_power_mw": 100.0, "aperture_area_m2": 0.002,
+          "divergence_half_angle_deg": 0.5, "water_type": "coastal",
+          "misalignment_beta_deg": 10.0}),
+        ("optical", ["--extinction-per-m", "0.2"], {"extinction_per_m": 0.2}),
+        ("mi", ["--ptx-mw", "50", "--freq-khz", "60", "--turns-tx", "20", "--turns-rx", "25",
+                "--radius-tx-m", "0.4", "--radius-rx-m", "0.3", "--cal-gain-db", "-2"],
+         {"transmit_power_mw": 50.0, "frequency_khz": 60.0, "turns_tx": 20, "turns_rx": 25,
+          "coil_radius_tx_m": 0.4, "coil_radius_rx_m": 0.3, "calibration_gain_db": -2.0}),
+    ],
+)
+def test_sweep_range_link_flags_set_their_fields(tech, argv, fields, capsys):
+    rc = main(["sweep-range", "--tech", tech, *argv])
+    assert rc == 0
+    expected = make_link(tech, **fields).max_range(PROFILES[tech].default_sensitivity_dbm)
+    assert _stdout_lines(capsys)[-1] == f"max_range_m={fmt6(expected)}"
 
 
 def test_lifetime_no_wakeup_constant(capsys):
@@ -140,6 +225,16 @@ def test_lifetime_sweep_rows_ordered(tmp_path):
     lifetimes = [float(r.split(",")[1]) for r in rows]
     assert rates == sorted(rates) and len(set(rates)) == len(rates)
     assert all(a > b for a, b in zip(lifetimes, lifetimes[1:]))
+
+
+def test_lifetime_energy_flags_override_the_profile(capsys):
+    rc = main([
+        "lifetime", "--tech", "optical", "--policy", "od", "--rate-per-hour", "2",
+        "--capacity-mah", "100", "--active-ma", "4", "--sleep-ma", "0.1", "--active-s", "2",
+    ])
+    assert rc == 0
+    # 100 / ((2*2*4 + (3600-4)*0.1) / 3600)
+    assert _stdout_lines(capsys)[1] == "2,958.466,on_demand"
 
 
 def test_lifetime_overfull_rate_exits_2(capsys):
@@ -192,16 +287,40 @@ def test_simulate_empty_requests_pure_sleep_charge(tmp_path):
     assert charge == pytest.approx(0.015 * 7200.0 / 3600.0, rel=1e-5)
 
 
-def test_simulate_invalid_scenario_exits_4(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "node,top,detail",
+    [
+        ({"position": [0, 0, -50]}, {}, "nodes[0].position: node above surface"),
+        ({"tech": "mi", "link": {"frequency_khz": -1}}, {},
+         "nodes[0].link: frequency_khz must be positive"),
+        ({"energy": {"active_ma": 0.001}}, {}, "nodes[0].energy: need active > sleep"),
+        ({"sensitivity_dbm": float("nan")}, {}, "nodes[0].sensitivity_dbm: expected a finite"),
+        ({}, {"horizon_s": float("nan")}, "scenario.horizon_s: expected a finite number"),
+        ({}, {"horizon_s": 1e300}, "horizon must be positive and finite"),
+        ({}, {"wake_requests": [{"time_s": float("inf"), "target_address": 1}]},
+         "wake_requests[0].time_s: expected a finite number"),
+        ({}, {"uav": {"position": [0, 0, -10], "rf_range_m": float("-inf")}},
+         "uav.rf_range_m: expected a finite number"),
+    ],
+    ids=[
+        "node-above-surface", "link-domain", "energy-domain", "nan-sensitivity",
+        "nan-horizon", "horizon-beyond-ns", "infinite-request-time", "infinite-rf-range",
+    ],
+)
+def test_simulate_invalid_scenario_exits_4(node, top, detail, tmp_path, capsys):
     doc = {
         "buoys": [{"position": [0, 0, 0]}],
-        "nodes": [{"address": 1, "position": [0, 0, -50], "tech": "acoustic"}],
+        "nodes": [{"address": 1, "position": [0, 0, 50], "tech": "acoustic", **node}],
+        **top,
     }
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "bad")])
     assert rc == 4
-    assert capsys.readouterr().err.startswith("error: 4: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: 4: ")
+    assert detail in err
+    assert len(err.splitlines()) == 1
 
 
 def test_simulate_malformed_json_exits_2(tmp_path, capsys):

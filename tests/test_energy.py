@@ -1,6 +1,7 @@
 """Closed-form lifetime under the three wake policies."""
 
 import random
+from math import inf, nan
 
 import pytest
 
@@ -126,6 +127,9 @@ def test_profile_validation():
         EnergyProfile(950.0, 0.015, 0.5, 1.0)  # active below sleep
     with pytest.raises(DomainError):
         EnergyProfile(950.0, 0.5, 0.015, 0.0)
+    for fields in ((nan, 0.5, 0.015, 1.0), (950.0, inf, 0.015, 1.0), (950.0, 0.5, 0.015, inf)):
+        with pytest.raises(DomainError, match="must be finite"):
+            EnergyProfile(*fields)
 
 
 def test_policy_validation():
@@ -133,3 +137,6 @@ def test_policy_validation():
         WakePolicy("sometimes")
     with pytest.raises(PolicyError):
         WakePolicy.duty_cycle(-1.0)
+    for rate in (nan, inf):
+        with pytest.raises(DomainError, match="must be finite"):
+            WakePolicy.on_demand(rate)

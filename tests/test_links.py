@@ -19,6 +19,11 @@ def test_non_finite_field_rejected(cls, value):
                 cls(**{f.name: value})
 
 
+def test_int_field_beyond_float_range_rejected():
+    with pytest.raises(DomainError, match="turns_tx must be finite"):
+        LINK_TYPES["mi"](turns_tx=10**400)
+
+
 @pytest.mark.parametrize("cls", LINK_TYPES.values(), ids=lambda c: c.__name__)
 def test_distance_below_the_law_rejected(cls):
     params = cls()

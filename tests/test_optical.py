@@ -146,3 +146,12 @@ def test_domain_and_param_validation():
         OpticalLinkParams(misalignment_beta_deg=91.0)
     with pytest.raises(DomainError):
         OpticalLinkParams(extinction_per_m=-0.1)
+
+
+def test_capture_beyond_the_float_range_stays_defined():
+    # a half-angle whose beam footprint underflows to 0 gets the 0 dB cap;
+    # an aperture whose capture ratio underflows receives nothing
+    narrow = OpticalLinkParams(divergence_half_angle_deg=1e-320, extinction_per_m=0.0)
+    assert received_power_dbm(narrow, 1.0) == 10.0 * math.log10(250.0)
+    wide = OpticalLinkParams(aperture_area_m2=5e-324, divergence_half_angle_deg=89.0)
+    assert received_power_dbm(wide, 1.0) == NEG_INF_DBM

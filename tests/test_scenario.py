@@ -3,18 +3,21 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iout_wakeup.energy import DEFAULT_ENERGY
-from iout_wakeup.errors import ParseError, ValidationError
+from iout_wakeup.errors import ConfigError, ParseError, ValidationError
 from iout_wakeup.scenario import (
     PRESET_NAMES,
     fmt6,
     load_preset,
     parse_scenario,
     parse_scenario_text,
+    preset_text,
     scenario_to_json,
 )
-from iout_wakeup.sim import run
+from iout_wakeup.sim import SimConfig, run
 
 MINIMAL = json.dumps(
     {
@@ -69,6 +72,13 @@ def test_water_type_and_extinction_are_exclusive():
         {"tech": "optical", "link": {"water_type": "harbor", "extinction_per_m": 0.1}}
     )
     with pytest.raises(ValidationError, match="not both"):
+        parse_scenario_text(json.dumps(doc))
+
+
+def test_unknown_water_type_rejected():
+    doc = json.loads(MINIMAL)
+    doc["nodes"][0].update({"tech": "optical", "link": {"water_type": "muddy"}})
+    with pytest.raises(ValidationError, match="nodes\\[0\\]\\.link\\.water_type: expected one of"):
         parse_scenario_text(json.dumps(doc))
 
 
@@ -134,3 +144,68 @@ def test_fmt6_plain_decimal():
     assert fmt6(float("-inf")) == "-inf"
     assert fmt6(7) == "7"
     assert "e" not in fmt6(1.5e8).lower()
+
+
+# Valid documents the mutation property starts from: the presets, the
+# minimal scenario, and one that sets every optional key.
+FULL = {
+    "medium": {"density_kg_m3": 1025.0, "sound_speed_m_s": 1480.0},
+    "uav": {"position": [5, 0, -20], "rf_range_m": 500.0},
+    "buoys": [
+        {"position": [0, 0, 0], "transmitters": ["acoustic", "optical"],
+         "rf_wakeup_enabled": True, "rf_sensitivity_dbm": -90.0},
+        {"position": [40, 0, 0], "transmitters": ["mi"], "rf_wakeup_enabled": False},
+    ],
+    "nodes": [
+        {"address": 3, "position": [0, 0, 60], "tech": "acoustic",
+         "link": {"frequency_khz": 12.0, "spreading_exponent": 15.0}, "sensitivity_dbm": -12.0},
+        {"address": 4, "position": [1, 1, 20], "tech": "optical",
+         "link": {"water_type": "coastal", "misalignment_beta_deg": 5.0},
+         "energy": {"capacity_mah": 10.0, "active_s": 2.0}},
+        {"address": 5, "position": [40, 0, 10], "tech": "mi", "link": {"turns_tx": 20}},
+    ],
+    "wake_requests": [{"time_s": 1.0, "target_address": 4}, {"time_s": 2.5, "target_address": 9}],
+    "horizon_s": 60.0,
+}
+SEEDS = [json.loads(preset_text(name)) for name in PRESET_NAMES] + [json.loads(MINIMAL), FULL]
+BAD_VALUES = [
+    float("nan"), float("inf"), float("-inf"), 1e300, 0, -1, True, False, "text", [], {}, None,
+]
+
+
+def _locations(doc):
+    """Every (container, key) inside a decoded JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield doc, key
+        if isinstance(value, (dict, list)):
+            yield from _locations(value)
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = json.loads(json.dumps(draw(st.sampled_from(SEEDS))))
+    for _ in range(draw(st.integers(1, 3))):
+        container, key = draw(st.sampled_from(list(_locations(doc))))
+        action = draw(st.sampled_from(["replace", "drop", "add"]))
+        if action == "replace":
+            container[key] = draw(st.sampled_from(BAD_VALUES))
+        elif action == "drop":
+            del container[key]
+        elif isinstance(container, dict):
+            container["unexpected_key"] = 1
+    return json.dumps(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_documents())
+def test_any_mutated_document_parses_or_is_rejected_and_runs_or_is_rejected(text):
+    try:
+        config = parse_scenario_text(text)
+    except (ParseError, ValidationError):
+        return
+    assert isinstance(config, SimConfig)
+    try:
+        run(config)
+    except ConfigError:
+        pass

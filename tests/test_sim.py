@@ -95,6 +95,52 @@ def test_uav_out_of_rf_range_blocks_everything():
     assert nrep.charge_consumed_mah == pytest.approx(0.015 * 100.0 / 3600.0, abs=1e-15)
 
 
+def test_rf_disabled_buoy_does_not_relay():
+    node = make_node("acoustic", address=1, depth_m=100.0)
+    config = _config([node], [WakeRequest(0.0, 1)])
+    config.buoys[0].rf_wakeup_enabled = False
+    report = run(config)
+    assert [e.kind for e in report.events] == ["wake_request"]
+    assert report.failures[0].detail == "no buoy within rf range"
+
+
+def test_rf_disabled_near_buoy_moves_the_relay_to_the_far_one():
+    node = make_node("acoustic", address=1, depth_m=100.0)
+    near = Buoy(Position3D(0.0, 0.0, 0.0))
+    far = Buoy(Position3D(50.0, 0.0, 0.0))
+    for enabled, relay in ((True, "buoy0"), (False, "buoy1")):
+        near.rf_wakeup_enabled = enabled
+        config = SimConfig(
+            uav=Uav(Position3D(0.0, 0.0, -10.0), rf_range_m=60.0),
+            buoys=[near, far],
+            nodes=[node],
+            wake_requests=[WakeRequest(0.0, 1)],
+        )
+        report = run(config)
+        emitters = {e.actor for e in report.events if e.kind == "wus_emit"}
+        assert emitters == ({"buoy0", "buoy1"} if enabled else {relay})
+        assert report.nodes[1].wakes == 1
+
+
+def test_times_beyond_the_float_range_are_never_queued():
+    # 1e300 s and the 1e308 m slant range overflow a float nanosecond count
+    near = make_node("acoustic", address=1, depth_m=100.0)
+    far = Node(2, Position3D(1e308, 0.0, 1e300), "acoustic")
+    requests = [WakeRequest(0.0, 2), WakeRequest(1e300, 1), WakeRequest(float("inf"), 1)]
+    report = run(_config([near, far], requests))
+    assert report.nodes[1].failures == 1  # address mismatch from the request at t = 0
+    assert report.nodes[2].wakes == report.nodes[2].failures == 0
+    assert [e.kind for e in report.events].count("wake_request") == 1
+
+
+def test_depletion_split_beyond_the_float_range():
+    # the depletion instant in ns overflows a float; the node still dies
+    energy = EnergyProfile(1e300, 1e300, 1.0, 1e5)
+    node = make_node("acoustic", address=1, depth_m=100.0, energy=energy)
+    report = run(_config([node], [WakeRequest(0.0, 1)], horizon_s=1e5))
+    assert report.nodes[1].depleted
+
+
 def test_wus_at_active_node_is_ignored():
     node = make_node("acoustic", address=1, depth_m=100.0)
     report = run(_config([node], [WakeRequest(0.0, 1), WakeRequest(0.5, 1)]))
@@ -188,6 +234,26 @@ def test_config_rejects_duplicate_addresses():
 def test_config_rejects_node_above_surface():
     with pytest.raises(ConfigError):
         run(_config([make_node("acoustic", depth_m=-5.0)], []))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda c: setattr(c, "horizon_s", float("nan")),
+        lambda c: setattr(c, "horizon_s", float("inf")),
+        lambda c: setattr(c, "horizon_s", 1e300),
+        lambda c: setattr(c.uav, "rf_range_m", float("nan")),
+        lambda c: setattr(c.nodes[0], "sensitivity_dbm", float("nan")),
+        lambda c: c.wake_requests.append(WakeRequest(float("nan"), 1)),
+    ],
+    ids=["nan-horizon", "inf-horizon", "horizon-beyond-ns", "nan-rf-range",
+         "nan-sensitivity", "nan-request-time"],
+)
+def test_config_rejects_non_finite_values(change):
+    config = _config([make_node("acoustic", address=1, depth_m=100.0)], [])
+    change(config)
+    with pytest.raises(ConfigError):
+        run(config)
 
 
 def test_config_rejects_wide_addresses():
