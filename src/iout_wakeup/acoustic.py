@@ -10,7 +10,7 @@ the -10 dBm sensitivity crossing near 250 m at 8 kHz and near 180 m at
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import log10
+from math import isfinite, log10
 
 from .core import LinkLaw, Medium, require_finite
 from .errors import DomainError
@@ -32,7 +32,10 @@ def thorp_absorption(frequency_khz):
     if not frequency_khz > 0.0:
         raise DomainError(f"frequency must be positive: {frequency_khz} kHz")
     f2 = frequency_khz * frequency_khz
-    return 0.11 * f2 / (1.0 + f2) + 44.0 * f2 / (4100.0 + f2) + 2.75e-4 * f2 + 0.003
+    alpha = 0.11 * f2 / (1.0 + f2) + 44.0 * f2 / (4100.0 + f2) + 2.75e-4 * f2 + 0.003
+    if not isfinite(alpha):  # 44*f*f overflows to inf, then f*f does (inf/inf)
+        raise DomainError(f"absorption beyond the float range at {frequency_khz} kHz")
+    return alpha
 
 
 def intensity_offset_db(medium: Medium):
@@ -57,8 +60,9 @@ class AcousticLinkParams(LinkLaw):
 
     def __post_init__(self):
         require_finite(self)
-        if self.frequency_khz <= 0.0:
-            raise DomainError(f"frequency must be positive: {self.frequency_khz} kHz")
+        # A frequency that is not positive, or whose absorption overflows,
+        # raises here.
+        self.alpha_db_per_km
         if self.spreading_exponent not in _SPREADING_EXPONENTS:
             raise DomainError(
                 f"spreading exponent must be one of {_SPREADING_EXPONENTS}: "

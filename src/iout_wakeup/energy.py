@@ -8,6 +8,7 @@ the same averaging formula and differ only in how many activations per
 hour they cause.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 from .core import require_finite
@@ -97,7 +98,14 @@ def average_current(profile: EnergyProfile, policy: WakePolicy):
 
 def lifetime_hours(profile: EnergyProfile, policy: WakePolicy):
     """Hours until the battery is drained at the policy's average draw."""
-    return profile.battery_capacity_mah / average_current(profile, policy)
+    current = average_current(profile, policy)
+    hours = profile.battery_capacity_mah / current
+    if not (hours < math.inf and current < math.inf):
+        raise DomainError(
+            f"lifetime of {profile.battery_capacity_mah} mAh at {current} mA "
+            f"is beyond the float range"
+        )
+    return hours
 
 
 def active_charge_ratio(profile: EnergyProfile, dc: WakePolicy, od: WakePolicy):

@@ -62,6 +62,11 @@ class MiLinkParams(LinkLaw):
             raise DomainError(
                 f"misalignment must be in [0, 90]: {self.misalignment_beta_deg} deg"
             )
+        if not self.geometry_db < math.inf:
+            raise DomainError(
+                "coil factor turns_tx*turns_rx*coil_radius_tx_m^3*coil_radius_rx_m^3 "
+                "is beyond the float range"
+            )
 
     @property
     def reference_distance_m(self):
@@ -80,18 +85,22 @@ class MiLinkParams(LinkLaw):
 
     @cached_property
     def geometry_db(self):
-        """10*log10 of the coil/misalignment factor (-inf for orthogonal coils)."""
+        """10*log10 of the coil/misalignment factor (-inf for orthogonal coils,
+        +inf when the factor is beyond the float range)."""
         beta = self.misalignment_beta_deg
         # exact zero at the orthogonal endpoint (cos(radians(90)) is ~6e-17)
         cos_beta = 0.0 if beta == 90.0 else math.cos(math.radians(beta))
-        factor = (
-            self.turns_tx
-            * self.turns_rx
-            * self.coil_radius_tx_m**3
-            * self.coil_radius_rx_m**3
-            * cos_beta
-            * cos_beta
-        )
+        try:
+            factor = (
+                self.turns_tx
+                * self.turns_rx
+                * self.coil_radius_tx_m**3
+                * self.coil_radius_rx_m**3
+                * cos_beta
+                * cos_beta
+            )
+        except OverflowError:  # an int turn product or a cube beyond the float range
+            return math.inf
         if factor <= 0.0:
             return NEG_INF_DBM
         return 10.0 * log10(factor)

@@ -265,15 +265,15 @@ def load_preset(name) -> SimConfig:
 # CSV emission
 
 def _write_csv(path, header, rows):
+    """Write a header and the rows (any iterable of string tuples) as lines."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def write_range_sweep_csv(path, distances_m, powers_dbm):
     """Rows of distance_m, rx_power_dbm ordered by distance."""
-    rows = [(fmt6(d), fmt6(p)) for d, p in zip(distances_m, powers_dbm)]
+    rows = ((fmt6(d), fmt6(p)) for d, p in zip(distances_m, powers_dbm))
     _write_csv(path, ("distance_m", "rx_power_dbm"), rows)
 
 
@@ -282,19 +282,17 @@ def write_lifetime_csv(path, rows):
     _write_csv(
         path,
         ("tx_per_hour", "lifetime_h", "policy"),
-        [(fmt6(rate), fmt6(hours), policy) for rate, hours, policy in rows],
+        ((fmt6(rate), fmt6(hours), policy) for rate, hours, policy in rows),
     )
 
 
 def write_events_csv(path, report):
-    rows = [
-        (f"{e.time_ns / 1e9:.9f}", e.actor, e.kind, e.detail) for e in report.events
-    ]
+    rows = ((f"{e.time_ns / 1e9:.9f}", e.actor, e.kind, e.detail) for e in report.events)
     _write_csv(path, ("time_s", "actor", "kind", "detail"), rows)
 
 
 def write_summary_csv(path, report):
-    rows = [
+    rows = (
         (
             str(nr.address),
             str(nr.wakes),
@@ -303,7 +301,7 @@ def write_summary_csv(path, report):
             str(nr.failures),
         )
         for nr in report.nodes.values()
-    ]
+    )
     _write_csv(
         path,
         ("address", "wakes", "charge_consumed_mah", "mean_latency_s", "failures"),

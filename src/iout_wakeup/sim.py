@@ -20,6 +20,7 @@ Buoy energy is not metered (surface nodes harvest); only node-side charge
 is accounted, exactly: consumed = I_active*t_active/3600 + I_sleep*t_sleep/3600.
 """
 
+import gc
 import heapq
 import itertools
 import math
@@ -145,7 +146,6 @@ class WakeRequest:
 class WakeUpSignal:
     target_address: int
     technology: str
-    origin: int  # buoy index
 
 
 @dataclass
@@ -216,6 +216,8 @@ class _NodeRuntime:
 
     def __init__(self, node: Node):
         self.node = node
+        self.actor = f"node{node.address}"
+        self.burst_ns = _to_ns(node.energy.active_duration_s)
         self.state = node.state
         self.initial_mah = node.remaining_charge_mah
         self.last_ns = 0
@@ -245,7 +247,7 @@ class _NodeRuntime:
             self.depleted = True
             self.depleted_ns = self.last_ns + lived
             events.append(
-                SimEvent(self.depleted_ns, f"node{self.node.address}", "node_depleted", "")
+                SimEvent(self.depleted_ns, self.actor, "node_depleted", "")
             )
             self.last_ns = now_ns
         else:
@@ -312,12 +314,39 @@ def _validate(config: SimConfig):
             raise ConfigError(f"request address out of 16-bit range: {req.target_address}")
 
 
+def _link_table(buoy, nodes, technology):
+    """(delay_ns, address, rx_dbm) from a buoy to each node of a technology,
+    in config order."""
+    profile = PROFILES[technology]
+    table = []
+    for node in nodes:
+        if node.technology == technology:
+            dist = buoy.position.distance_to(node.position)
+            delay_ns = _to_ns(propagation_delay(profile, dist))
+            table.append((delay_ns, node.address, node.link_params.rx_dbm(dist)))
+    return table
+
+
 def run(config: SimConfig) -> SimReport:
     """Run the event loop to the horizon and assemble the report.
 
     Protocol outcomes (missed wake-ups, mismatches, depleted targets) are
     report records, never exceptions; only an invalid config raises.
+
+    The cyclic garbage collector is paused for the run: the loop allocates
+    only acyclic records (events, failures, queue entries), and rescanning
+    them would cost a sizeable share of the run.
     """
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(config)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _run(config: SimConfig) -> SimReport:
     _validate(config)
     horizon_ns = _to_ns(config.horizon_s)
     runtimes = {node.address: _NodeRuntime(node) for node in config.nodes}
@@ -334,10 +363,19 @@ def run(config: SimConfig) -> SimReport:
     for req in config.wake_requests:
         push(_to_ns(req.time_s), _PRIO_REQUEST, 0, ("request", req))
 
-    def fail(time_ns, reason, actor, detail):
+    def fail(time_ns, reason, actor, detail, nrt=None):
         failures.append(FailureRecord(time_ns, reason, actor, detail))
-        if actor.startswith("node"):
-            runtimes[int(actor[4:])].failures += 1
+        if nrt is not None:
+            nrt.failures += 1
+
+    # The RF hop (buoy index, delay) of every buoy that hears the UAV, and
+    # per (buoy index, technology) the link table, built on first emission.
+    hops = []
+    for bidx, buoy in enumerate(config.buoys):
+        dist = config.uav.position.distance_to(buoy.position)
+        if buoy.rf_wakeup_enabled and dist <= config.uav.rf_range_m:
+            hops.append((bidx, _to_ns(dist / LIGHT_SPEED_M_S)))
+    links = {}
 
     while heap:
         t, _prio, _key, _seq, payload = heapq.heappop(heap)
@@ -346,18 +384,9 @@ def run(config: SimConfig) -> SimReport:
         if kind == "request":
             req = payload[1]
             events.append(SimEvent(t, "uav", "wake_request", f"target={req.target_address}"))
-            delivered = False
-            for bidx, buoy in enumerate(config.buoys):
-                dist = config.uav.position.distance_to(buoy.position)
-                if buoy.rf_wakeup_enabled and dist <= config.uav.rf_range_m:
-                    delivered = True
-                    push(
-                        t + _to_ns(dist / LIGHT_SPEED_M_S),
-                        _PRIO_RF,
-                        bidx,
-                        ("rf", bidx, req, t),
-                    )
-            if not delivered:
+            for bidx, delay_ns in hops:
+                push(t + delay_ns, _PRIO_RF, bidx, ("rf", bidx, req, t))
+            if not hops:
                 fail(t, OUT_OF_RANGE, "uav", "no buoy within rf range")
 
         elif kind == "rf":
@@ -386,30 +415,21 @@ def run(config: SimConfig) -> SimReport:
                 events.append(
                     SimEvent(t, actor, "wus_emit", f"tech={tech} target={req.target_address}")
                 )
-                signal = WakeUpSignal(req.target_address, tech, bidx)
-                for node in config.nodes:
-                    if node.technology != tech:
-                        continue
-                    dist = buoy.position.distance_to(node.position)
-                    delay_ns = _to_ns(propagation_delay(PROFILES[tech], dist))
-                    push(
-                        t + delay_ns,
-                        _PRIO_WUS,
-                        node.address,
-                        ("wus", node.address, signal, req_ns),
-                    )
+                signal = WakeUpSignal(req.target_address, tech)
+                table = links.get((bidx, tech))
+                if table is None:
+                    table = links[bidx, tech] = _link_table(buoy, config.nodes, tech)
+                for delay_ns, addr, rx_dbm in table:
+                    push(t + delay_ns, _PRIO_WUS, addr, ("wus", addr, signal, req_ns, rx_dbm))
 
         elif kind == "wus":
-            addr, signal, req_ns = payload[1], payload[2], payload[3]
+            _, addr, signal, req_ns, rx_dbm = payload
             nrt = runtimes[addr]
-            actor = f"node{addr}"
+            actor = nrt.actor
             nrt.settle(t, events)
-            buoy = config.buoys[signal.origin]
-            dist = buoy.position.distance_to(nrt.node.position)
-            rx_dbm = nrt.node.link_params.rx_dbm(dist)
             if nrt.depleted:
                 events.append(SimEvent(t, actor, "wus_arrival", "depleted"))
-                fail(t, DEPLETED, actor, f"target={signal.target_address}")
+                fail(t, DEPLETED, actor, f"target={signal.target_address}", nrt)
             elif rx_dbm < nrt.node.sensitivity_dbm:
                 events.append(
                     SimEvent(t, actor, "wus_arrival", f"below_sensitivity rx_dbm={rx_dbm:.3f}")
@@ -419,12 +439,13 @@ def run(config: SimConfig) -> SimReport:
                     OUT_OF_RANGE,
                     actor,
                     f"rx {rx_dbm:.3f} dBm below sensitivity {nrt.node.sensitivity_dbm:.3f} dBm",
+                    nrt,
                 )
             elif signal.target_address != addr:
                 events.append(
                     SimEvent(t, actor, "wus_arrival", f"address_mismatch target={signal.target_address}")
                 )
-                fail(t, ADDRESS_MISMATCH, actor, f"target={signal.target_address} local={addr}")
+                fail(t, ADDRESS_MISMATCH, actor, f"target={signal.target_address} local={addr}", nrt)
             elif nrt.state == ACTIVE:
                 # Fig-2-style interrupt targets a sleeping controller; an
                 # already-active node ignores further signals.
@@ -435,12 +456,7 @@ def run(config: SimConfig) -> SimReport:
                 nrt.wakes += 1
                 nrt.latencies_s.append(latency_s)
                 events.append(SimEvent(t, actor, "node_wake", f"latency_s={latency_s:.9f}"))
-                push(
-                    t + _to_ns(nrt.node.energy.active_duration_s),
-                    _PRIO_SLEEP,
-                    addr,
-                    ("sleep", addr),
-                )
+                push(t + nrt.burst_ns, _PRIO_SLEEP, addr, ("sleep", addr))
 
         else:  # "sleep"
             addr = payload[1]
@@ -448,7 +464,7 @@ def run(config: SimConfig) -> SimReport:
             nrt.settle(t, events)
             if not nrt.depleted and nrt.state == ACTIVE:
                 nrt.state = SLEEP
-                events.append(SimEvent(t, f"node{addr}", "node_sleep", ""))
+                events.append(SimEvent(t, nrt.actor, "node_sleep", ""))
 
     for nrt in runtimes.values():
         nrt.settle(horizon_ns, events)

@@ -46,6 +46,21 @@ def test_thorp_rejects_nonpositive():
         thorp_absorption(-8.0)
 
 
+@pytest.mark.parametrize("f", [5e153, 1.4e154, 1e200, 1.7e308])
+def test_absorption_beyond_the_float_range_rejected(f):
+    # 44*f*f overflows (inf), then f*f does too (inf/inf = NaN)
+    with pytest.raises(DomainError, match="beyond the float range"):
+        thorp_absorption(f)
+    with pytest.raises(DomainError, match="beyond the float range"):
+        AcousticLinkParams(frequency_khz=f)
+
+
+def test_absorption_near_the_float_range_is_finite():
+    f2 = 2e153 * 2e153
+    expected = 0.11 * f2 / (1.0 + f2) + 44.0 * f2 / (4100.0 + f2) + 2.75e-4 * f2 + 0.003
+    assert AcousticLinkParams(frequency_khz=2e153).alpha_db_per_km == expected
+
+
 def test_transmission_loss_at_reference_distance():
     params = AcousticLinkParams()
     # log10(1) = 0; only the (negligible) absorption term remains

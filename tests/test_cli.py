@@ -3,7 +3,9 @@
 import contextlib
 import io
 import json
+import os
 import re
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -135,13 +137,45 @@ def test_any_float_flag_value_exits_cleanly(data, value):
         *(("sweep-range", flag) for flag in _SWEEP_SHARED_FLOAT_FLAGS + _SWEEP_FLOAT_FLAGS[tech]),
         *(("lifetime", flag) for flag in _LIFETIME_FLOAT_FLAGS),
     ]))
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        rc = main([command, "--tech", tech, f"{flag}={value}"])
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path = os.path.join(tmp, "sweep.csv")
+        argv = [command, "--tech", tech, f"{flag}={value}"]
+        if command == "sweep-range":
+            argv += ["--out", csv_path]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        rows = out.getvalue().splitlines()
+        if rc == 0 and command == "sweep-range":
+            with open(csv_path, encoding="utf-8") as fh:
+                rows += fh.read().splitlines()
     lines = err.getvalue().splitlines()
     assert rc in (0, 2, 3, 4)
     assert len(lines) == (rc != 0)
     assert all(ERROR_LINE.match(line) for line in lines)
+    # No output field is NaN and no lifetime is infinite (-inf dBm is the
+    # zero-power sentinel).
+    fields = [row.replace("=", ",").split(",") for row in rows]
+    assert not any("nan" in row for row in fields)
+    if command == "lifetime":
+        assert not any(row[1] == "inf" for row in fields[1:])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-range", "--tech", "acoustic", "--freq-khz", "1e200"],
+        ["sweep-range", "--tech", "mi", "--turns-tx", "1" + "0" * 307],
+        ["sweep-range", "--tech", "mi", "--radius-tx-m", "1e300", "--dmax", "2e300", "--step", "1e299"],
+        ["lifetime", "--tech", "acoustic", "--capacity-mah", "1e308", "--rate-per-hour", "1"],
+        ["lifetime", "--tech", "acoustic", "--active-ma", "1e308", "--rate-per-hour", "3600"],
+    ],
+    ids=["acoustic-absorption", "mi-turns", "mi-radius", "lifetime-capacity", "lifetime-draw"],
+)
+def test_results_beyond_the_float_range_exit_2(argv, capsys):
+    rc = main(argv)
+    _assert_one_error_line(rc, capsys)
+    assert rc == 2
 
 
 @pytest.mark.parametrize(
@@ -301,10 +335,15 @@ def test_simulate_empty_requests_pure_sleep_charge(tmp_path):
          "wake_requests[0].time_s: expected a finite number"),
         ({}, {"uav": {"position": [0, 0, -10], "rf_range_m": float("-inf")}},
          "uav.rf_range_m: expected a finite number"),
+        ({"link": {"frequency_khz": 1e200}}, {},
+         "nodes[0].link: absorption beyond the float range"),
+        ({"tech": "mi", "link": {"turns_tx": 10**307}}, {},
+         "nodes[0].link: coil factor"),
     ],
     ids=[
         "node-above-surface", "link-domain", "energy-domain", "nan-sensitivity",
         "nan-horizon", "horizon-beyond-ns", "infinite-request-time", "infinite-rf-range",
+        "absorption-overflow", "coil-factor-overflow",
     ],
 )
 def test_simulate_invalid_scenario_exits_4(node, top, detail, tmp_path, capsys):

@@ -140,3 +140,17 @@ def test_policy_validation():
     for rate in (nan, inf):
         with pytest.raises(DomainError, match="must be finite"):
             WakePolicy.on_demand(rate)
+
+
+@pytest.mark.parametrize(
+    "profile,policy",
+    [
+        (EnergyProfile(1e308, 0.5, 0.015, 1.0), WakePolicy.on_demand(1.0)),  # hours overflow
+        (EnergyProfile(950.0, 0.5, 5e-324, 1.0), WakePolicy.on_demand(0.0)),  # current underflows
+        (EnergyProfile(950.0, 1e308, 0.015, 1.0), WakePolicy.duty_cycle(3600.0)),  # draw overflows
+    ],
+    ids=["capacity", "sleep-current", "active-current"],
+)
+def test_lifetime_beyond_the_float_range_rejected(profile, policy):
+    with pytest.raises(DomainError, match="beyond the float range"):
+        lifetime_hours(profile, policy)

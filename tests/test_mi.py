@@ -1,5 +1,6 @@
 """Magnetic-induction link: 1/d^6 law, coil scaling, misalignment, max range."""
 
+import math
 import random
 
 import pytest
@@ -133,3 +134,25 @@ def test_param_validation():
         MiLinkParams(coil_radius_rx_m=-0.5)
     with pytest.raises(DomainError):
         MiLinkParams(misalignment_beta_deg=120.0)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"turns_tx": 10**307},  # the int product does not fit a float
+        {"turns_tx": 10**200, "turns_rx": 10**200},
+        {"coil_radius_tx_m": 1e300},  # the cube overflows
+        {"coil_radius_tx_m": 1e60, "coil_radius_rx_m": 1e60},  # the product overflows
+        {"turns_tx": 10**307, "misalignment_beta_deg": 90.0},
+    ],
+)
+def test_coil_factor_beyond_the_float_range_rejected(fields):
+    with pytest.raises(DomainError, match="beyond the float range"):
+        MiLinkParams(**fields)
+
+
+@pytest.mark.parametrize("turns", [(30, 30), (2**26, 2**26 - 1), (3, 2**50)])
+def test_coil_factor_below_2_53_keeps_its_bits(turns):
+    params = MiLinkParams(turns_tx=turns[0], turns_rx=turns[1], coil_radius_tx_m=0.37)
+    factor = turns[0] * turns[1] * 0.37**3 * 0.5**3 * 1.0 * 1.0
+    assert params.geometry_db == 10.0 * math.log10(factor)

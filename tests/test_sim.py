@@ -1,5 +1,8 @@
 """Event-driven wake-up protocol: latency, addressing, charge accounting."""
 
+import gc
+import hashlib
+
 import pytest
 
 from iout_wakeup.core import Position3D
@@ -10,6 +13,7 @@ from iout_wakeup.energy import (
     lifetime_hours,
 )
 from iout_wakeup.errors import ConfigError, PolicyError
+from iout_wakeup.scenario import write_events_csv, write_summary_csv
 from iout_wakeup.sim import (
     ACTIVE,
     ADDRESS_MISMATCH,
@@ -309,3 +313,84 @@ def test_node_defaults_fill_in():
     assert node.sensitivity_dbm == -53.0
     assert node.energy.active_current_ma == 3.6
     assert node.remaining_charge_mah == 950.0
+
+
+def _pinned_config():
+    """Two relaying buoys (buoy 1 has no MI transmitter) and an rf-disabled
+    one between them, all three technologies, equal-distance arrival ties,
+    an unknown-address broadcast and a depleting node."""
+    buoys = [
+        Buoy(Position3D(0.0, 0.0, 0.0)),
+        Buoy(Position3D(40.0, 0.0, 0.0), transmitters=("acoustic", "optical")),
+        Buoy(Position3D(20.0, 0.0, 0.0), rf_wakeup_enabled=False),
+    ]
+    nodes = [
+        # equidistant from buoys 0 and 1, whose RF hops tie as well
+        Node(1, Position3D(20.0, 0.0, 50.0), "acoustic"),
+        # equidistant from buoy 0
+        Node(2, Position3D(0.0, 30.0, 40.0), "acoustic"),
+        Node(3, Position3D(0.0, -30.0, 40.0), "acoustic"),
+        Node(4, Position3D(300.0, 0.0, 100.0), "acoustic"),  # below sensitivity
+        Node(10, Position3D(20.0, 0.0, 20.0), "optical"),
+        Node(11, Position3D(20.0, 0.0, 90.0), "optical"),
+        Node(20, Position3D(20.0, 0.0, 30.0), "mi"),
+        Node(21, Position3D(0.0, 0.0, 10.0), "mi",
+             energy=EnergyProfile(0.00005, 0.49, 0.043, 1.0)),  # dies at ~4.19 s
+    ]
+    requests = [
+        WakeRequest(0.0, 1),
+        WakeRequest(0.0, 10),
+        WakeRequest(0.5, 1),
+        WakeRequest(1.0, 999),
+        WakeRequest(2.0, 20),
+        WakeRequest(3.0, 4),
+        WakeRequest(3.0, 11),
+        WakeRequest(6.0, 21),
+    ]
+    return SimConfig(
+        uav=Uav(Position3D(20.0, 0.0, -10.0), rf_range_m=50.0),
+        buoys=buoys,
+        nodes=nodes,
+        wake_requests=requests,
+        horizon_s=20.0,
+    )
+
+
+# SHA-256 of the events CSV, the summary CSV and repr(report.failures) of
+# the pinned scenario, recorded before the simulator's link table.
+PINNED = (
+    "935c8f2d0c85f3acb3b0cd5f1b176cf71e150a7340b118d8ad5132bc14b1017a",
+    "03b1ffeed045788ce50dfd02b4c54599313d02c39823801a2187a3c101f886aa",
+    "7ec358b74769a38622ecf45f297e797f75178cd479307f28dfabcddbed7b7c1a",
+)
+
+
+def test_pinned_scenario_outputs(tmp_path):
+    report = run(_pinned_config())
+    write_events_csv(tmp_path / "events.csv", report)
+    write_summary_csv(tmp_path / "summary.csv", report)
+    digests = (
+        hashlib.sha256((tmp_path / "events.csv").read_bytes()).hexdigest(),
+        hashlib.sha256((tmp_path / "summary.csv").read_bytes()).hexdigest(),
+        hashlib.sha256(repr(report.failures).encode()).hexdigest(),
+    )
+    assert digests == PINNED
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+@pytest.mark.parametrize("valid", [True, False], ids=["valid", "config-error"])
+def test_run_leaves_the_collector_as_it_found_it(enabled, valid):
+    config = _pinned_config()
+    if not valid:
+        config.horizon_s = float("nan")
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if valid:
+            run(config)
+        else:
+            with pytest.raises(ConfigError):
+                run(config)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
