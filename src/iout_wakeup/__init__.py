@@ -63,7 +63,6 @@ from .sim import (
     SimReport,
     Uav,
     WakeRequest,
-    WakeUpSignal,
     make_node,
     run,
     simulate_lifetime,

@@ -21,7 +21,7 @@ import sys
 from dataclasses import fields
 
 from . import scenario as scenario_io
-from .core import PROFILES, Medium, TECHNOLOGIES
+from .core import MAX_POINTS, PROFILES, Medium, TECHNOLOGIES
 from .energy import WakePolicy, energy_profile, lifetime_hours
 from .errors import (
     ConfigError,
@@ -34,9 +34,6 @@ from .errors import (
 from .optical import WaterType
 from .scenario import fmt6
 from .sim import LINK_TYPES, link_fields, make_link, run
-
-# A sweep or rate grid longer than this is refused rather than allocated.
-MAX_POINTS = 1_000_000
 
 _MEDIUM_FIELDS = {f.name: f.type for f in fields(Medium)}
 

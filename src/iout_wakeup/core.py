@@ -29,6 +29,10 @@ OPTICAL = "optical"
 MI = "mi"
 TECHNOLOGIES = (ACOUSTIC, OPTICAL, MI)
 
+# A sweep, rate grid or request list longer than this is refused rather
+# than allocated.
+MAX_POINTS = 1_000_000
+
 
 def dbm_to_linear(p_dbm):
     """dBm -> linear power (mW, or mW/m^2 for acoustic density values)."""

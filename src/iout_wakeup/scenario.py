@@ -264,46 +264,35 @@ def load_preset(name) -> SimConfig:
 # ---------------------------------------------------------------------------
 # CSV emission
 
-def _write_csv(path, header, rows):
-    """Write a header and the rows (any iterable of string tuples) as lines."""
+def _write_csv(path, header, lines):
+    """Write a header row and the lines (any iterable of rendered rows, each
+    ending in a newline)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
+        fh.write(header + "\n")
+        fh.writelines(lines)
 
 
 def write_range_sweep_csv(path, distances_m, powers_dbm):
     """Rows of distance_m, rx_power_dbm ordered by distance."""
-    rows = ((fmt6(d), fmt6(p)) for d, p in zip(distances_m, powers_dbm))
-    _write_csv(path, ("distance_m", "rx_power_dbm"), rows)
+    lines = (f"{fmt6(d)},{fmt6(p)}\n" for d, p in zip(distances_m, powers_dbm))
+    _write_csv(path, "distance_m,rx_power_dbm", lines)
 
 
 def write_lifetime_csv(path, rows):
     """Rows of (tx_per_hour, lifetime_h, policy) tuples."""
-    _write_csv(
-        path,
-        ("tx_per_hour", "lifetime_h", "policy"),
-        ((fmt6(rate), fmt6(hours), policy) for rate, hours, policy in rows),
-    )
+    lines = (f"{fmt6(rate)},{fmt6(hours)},{policy}\n" for rate, hours, policy in rows)
+    _write_csv(path, "tx_per_hour,lifetime_h,policy", lines)
 
 
 def write_events_csv(path, report):
-    rows = ((f"{e.time_ns / 1e9:.9f}", e.actor, e.kind, e.detail) for e in report.events)
-    _write_csv(path, ("time_s", "actor", "kind", "detail"), rows)
+    lines = (f"{e.time_ns / 1e9:.9f},{e.actor},{e.kind},{e.detail}\n" for e in report.events)
+    _write_csv(path, "time_s,actor,kind,detail", lines)
 
 
 def write_summary_csv(path, report):
-    rows = (
-        (
-            str(nr.address),
-            str(nr.wakes),
-            fmt6(nr.charge_consumed_mah),
-            fmt6(nr.mean_latency_s),
-            str(nr.failures),
-        )
+    lines = (
+        f"{nr.address},{nr.wakes},{fmt6(nr.charge_consumed_mah)},"
+        f"{fmt6(nr.mean_latency_s)},{nr.failures}\n"
         for nr in report.nodes.values()
     )
-    _write_csv(
-        path,
-        ("address", "wakes", "charge_consumed_mah", "mean_latency_s", "failures"),
-        rows,
-    )
+    _write_csv(path, "address,wakes,charge_consumed_mah,mean_latency_s,failures", lines)

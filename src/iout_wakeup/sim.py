@@ -21,15 +21,18 @@ is accounted, exactly: consumed = I_active*t_active/3600 + I_sleep*t_sleep/3600.
 """
 
 import gc
-import heapq
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field, fields
+from heapq import heappop, heappush
+from operator import attrgetter
 
 from . import acoustic, mi, optical
 from .core import (
     ACOUSTIC,
     LIGHT_SPEED_M_S,
+    MAX_POINTS,
     MI,
     OPTICAL,
     PROFILES,
@@ -88,9 +91,16 @@ def make_link(technology, medium=Medium(), water_type=None, **given):
 
 
 def _to_ns(seconds):
-    """Whole nanoseconds; inf past the float range, beyond any horizon."""
+    """Whole nanoseconds; inf past the float range (an int count too),
+    beyond any horizon."""
     ns = seconds * _NS
-    return int(round(ns)) if ns < math.inf else math.inf
+    return int(round(ns)) if ns <= sys.float_info.max else math.inf
+
+
+def _valid_horizon(horizon_s):
+    """A horizon must last at least one whole nanosecond, and its
+    nanosecond count must be finite."""
+    return horizon_s > 0.0 and 0 < _to_ns(horizon_s) < math.inf
 
 
 @dataclass
@@ -142,12 +152,6 @@ class WakeRequest:
     target_address: int
 
 
-@dataclass(frozen=True)
-class WakeUpSignal:
-    target_address: int
-    technology: str
-
-
 @dataclass
 class SimConfig:
     uav: Uav
@@ -157,7 +161,10 @@ class SimConfig:
     horizon_s: float = 3600.0
 
 
-@dataclass(frozen=True)
+# The run's records are slotted, not frozen: a frozen dataclass sets each
+# field through object.__setattr__, several times slower to build, and a run
+# builds one or two records per signal arrival.  They are not hashable.
+@dataclass(slots=True)
 class SimEvent:
     time_ns: int
     actor: str
@@ -169,7 +176,7 @@ class SimEvent:
         return self.time_ns / _NS
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FailureRecord:
     time_ns: int
     reason: str
@@ -204,13 +211,6 @@ class SimReport:
     nodes: dict  # address -> NodeReport
 
 
-def _consumed_mah(profile: EnergyProfile, active_ns, sleep_ns):
-    return (
-        profile.active_current_ma * (active_ns / _NS) / 3600.0
-        + profile.sleep_current_ma * (sleep_ns / _NS) / 3600.0
-    )
-
-
 class _NodeRuntime:
     """Mutable per-node bookkeeping while the event loop runs."""
 
@@ -218,6 +218,8 @@ class _NodeRuntime:
         self.node = node
         self.actor = f"node{node.address}"
         self.burst_ns = _to_ns(node.energy.active_duration_s)
+        self.active_ma = node.energy.active_current_ma
+        self.sleep_ma = node.energy.sleep_current_ma
         self.state = node.state
         self.initial_mah = node.remaining_charge_mah
         self.last_ns = 0
@@ -228,42 +230,45 @@ class _NodeRuntime:
         self.wakes = 0
         self.latencies_s = []
         self.failures = 0
+        self.woken_by = None  # the request that last woke the node
+
+    def consumed_mah(self):
+        return (
+            self.active_ma * (self.active_ns / _NS) / 3600.0
+            + self.sleep_ma * (self.sleep_ns / _NS) / 3600.0
+        )
 
     def settle(self, now_ns, events):
         """Charge the interval since the last settlement; split it at the
-        depletion instant if the battery runs out inside it."""
+        depletion instant if the battery runs out inside it.  The budget
+        spells out ``consumed_mah()`` (same operands, same order, same bits):
+        this runs once per signal arrival."""
         delta = now_ns - self.last_ns
         if delta <= 0 or self.depleted:
             self.last_ns = max(self.last_ns, now_ns)
             return
-        profile = self.node.energy
-        current = profile.active_current_ma if self.state == ACTIVE else profile.sleep_current_ma
-        consumed = _consumed_mah(profile, self.active_ns, self.sleep_ns)
-        budget_mah = self.initial_mah - consumed
-        interval_mah = current * (delta / _NS) / 3600.0
-        if interval_mah >= budget_mah:
-            lived = int(min(delta, budget_mah * 3600.0 * _NS / current))
-            self._credit(lived)
+        active = self.state == ACTIVE
+        current = self.active_ma if active else self.sleep_ma
+        budget_mah = self.initial_mah - (
+            self.active_ma * (self.active_ns / _NS) / 3600.0
+            + self.sleep_ma * (self.sleep_ns / _NS) / 3600.0
+        )
+        if current * (delta / _NS) / 3600.0 >= budget_mah:
+            # the battery runs out inside the interval: credit what it lived
+            delta = int(min(delta, budget_mah * 3600.0 * _NS / current))
             self.depleted = True
-            self.depleted_ns = self.last_ns + lived
-            events.append(
-                SimEvent(self.depleted_ns, self.actor, "node_depleted", "")
-            )
-            self.last_ns = now_ns
+            self.depleted_ns = self.last_ns + delta
+            events.append(SimEvent(self.depleted_ns, self.actor, "node_depleted", ""))
+        if active:
+            self.active_ns += delta
         else:
-            self._credit(delta)
-            self.last_ns = now_ns
-
-    def _credit(self, duration_ns):
-        if self.state == ACTIVE:
-            self.active_ns += duration_ns
-        else:
-            self.sleep_ns += duration_ns
+            self.sleep_ns += delta
+        self.last_ns = now_ns
 
 
 def _validate(config: SimConfig):
-    if not (config.horizon_s > 0.0 and _to_ns(config.horizon_s) < math.inf):
-        raise ConfigError(f"horizon must be positive and finite: {config.horizon_s}")
+    if not _valid_horizon(config.horizon_s):
+        raise ConfigError(f"horizon must be positive and finite in whole ns: {config.horizon_s}")
     if config.uav is None:
         raise ConfigError("config needs a uav")
     if config.uav.position.z >= 0.0:
@@ -314,16 +319,27 @@ def _validate(config: SimConfig):
             raise ConfigError(f"request address out of 16-bit range: {req.target_address}")
 
 
-def _link_table(buoy, nodes, technology):
-    """(delay_ns, address, rx_dbm) from a buoy to each node of a technology,
-    in config order."""
+def _link_table(buoy, runtimes, technology):
+    """(delay_ns, address, runtime, miss) from a buoy to each node of a
+    technology, in config order.  Received power and sensitivity are fixed
+    per (buoy, node), so whether the node hears the buoy is decided here:
+    ``miss`` is None if it does, else the finished ``wus_arrival`` and
+    failure details, shared by every arrival on that link."""
     profile = PROFILES[technology]
     table = []
-    for node in nodes:
+    for nrt in runtimes.values():
+        node = nrt.node
         if node.technology == technology:
             dist = buoy.position.distance_to(node.position)
             delay_ns = _to_ns(propagation_delay(profile, dist))
-            table.append((delay_ns, node.address, node.link_params.rx_dbm(dist)))
+            rx_dbm = node.link_params.rx_dbm(dist)
+            miss = None
+            if rx_dbm < node.sensitivity_dbm:
+                miss = (
+                    f"below_sensitivity rx_dbm={rx_dbm:.3f}",
+                    f"rx {rx_dbm:.3f} dBm below sensitivity {node.sensitivity_dbm:.3f} dBm",
+                )
+            table.append((delay_ns, node.address, nrt, miss))
     return table
 
 
@@ -354,19 +370,12 @@ def _run(config: SimConfig) -> SimReport:
     failures = []
     heap = []
     seq = itertools.count()
-
-    def push(time_ns, prio, actor_key, payload):
-        # Entries past the horizon would never be popped (inf ones included).
-        if time_ns <= horizon_ns:
-            heapq.heappush(heap, (time_ns, prio, actor_key, next(seq), payload))
-
+    # Queue entries past the horizon would never be popped (inf ones
+    # included), so none is pushed.
     for req in config.wake_requests:
-        push(_to_ns(req.time_s), _PRIO_REQUEST, 0, ("request", req))
-
-    def fail(time_ns, reason, actor, detail, nrt=None):
-        failures.append(FailureRecord(time_ns, reason, actor, detail))
-        if nrt is not None:
-            nrt.failures += 1
+        time_ns = _to_ns(req.time_s)
+        if time_ns <= horizon_ns:
+            heappush(heap, (time_ns, _PRIO_REQUEST, 0, next(seq), ("request", req)))
 
     # The RF hop (buoy index, delay) of every buoy that hears the UAV, and
     # per (buoy index, technology) the link table, built on first emission.
@@ -378,16 +387,56 @@ def _run(config: SimConfig) -> SimReport:
     links = {}
 
     while heap:
-        t, _prio, _key, _seq, payload = heapq.heappop(heap)
+        t, _prio, _key, _seq, payload = heappop(heap)
         kind = payload[0]
 
-        if kind == "request":
-            req = payload[1]
-            events.append(SimEvent(t, "uav", "wake_request", f"target={req.target_address}"))
-            for bidx, delay_ns in hops:
-                push(t + delay_ns, _PRIO_RF, bidx, ("rf", bidx, req, t))
-            if not hops:
-                fail(t, OUT_OF_RANGE, "uav", "no buoy within rf range")
+        # Signal arrivals are almost every entry, so they are tested first.
+        if kind == "wus":
+            _, addr, nrt, req, req_ns, miss = payload
+            actor = nrt.actor
+            nrt.settle(t, events)
+            if nrt.depleted:
+                events.append(SimEvent(t, actor, "wus_arrival", "depleted"))
+                failures.append(FailureRecord(t, DEPLETED, actor, f"target={req.target_address}"))
+                nrt.failures += 1
+            elif miss is not None:
+                events.append(SimEvent(t, actor, "wus_arrival", miss[0]))
+                failures.append(FailureRecord(t, OUT_OF_RANGE, actor, miss[1]))
+                nrt.failures += 1
+            elif req.target_address != addr:
+                target = req.target_address
+                events.append(
+                    SimEvent(t, actor, "wus_arrival", f"address_mismatch target={target}")
+                )
+                failures.append(
+                    FailureRecord(t, ADDRESS_MISMATCH, actor, f"target={target} local={addr}")
+                )
+                nrt.failures += 1
+            elif nrt.state == ACTIVE:
+                # Fig-2-style interrupt targets a sleeping controller; an
+                # already-active node ignores further signals.
+                events.append(SimEvent(t, actor, "wus_arrival", "ignored_active"))
+            elif nrt.woken_by is req:
+                # Another buoy's relay of the request that already woke the
+                # node, arriving after its burst: one request, one wake.
+                events.append(SimEvent(t, actor, "wus_arrival", "duplicate_request"))
+            else:
+                latency_s = (t - req_ns) / _NS
+                nrt.state = ACTIVE
+                nrt.woken_by = req
+                nrt.wakes += 1
+                nrt.latencies_s.append(latency_s)
+                events.append(SimEvent(t, actor, "node_wake", f"latency_s={latency_s:.9f}"))
+                time_ns = t + nrt.burst_ns
+                if time_ns <= horizon_ns:
+                    heappush(heap, (time_ns, _PRIO_SLEEP, addr, next(seq), ("sleep", nrt)))
+
+        elif kind == "sleep":
+            nrt = payload[1]
+            nrt.settle(t, events)
+            if not nrt.depleted and nrt.state == ACTIVE:
+                nrt.state = SLEEP
+                events.append(SimEvent(t, nrt.actor, "node_sleep", ""))
 
         elif kind == "rf":
             bidx, req, req_ns = payload[1], payload[2], payload[3]
@@ -401,12 +450,8 @@ def _run(config: SimConfig) -> SimReport:
                     techs = (tech,)
                 else:
                     techs = ()
-                    fail(
-                        t,
-                        OUT_OF_RANGE,
-                        actor,
-                        f"no {tech} transmitter for target {req.target_address}",
-                    )
+                    detail = f"no {tech} transmitter for target {req.target_address}"
+                    failures.append(FailureRecord(t, OUT_OF_RANGE, actor, detail))
             else:
                 # Unknown address: broadcast on everything equipped and let
                 # the per-node address filters sort it out.
@@ -415,68 +460,36 @@ def _run(config: SimConfig) -> SimReport:
                 events.append(
                     SimEvent(t, actor, "wus_emit", f"tech={tech} target={req.target_address}")
                 )
-                signal = WakeUpSignal(req.target_address, tech)
                 table = links.get((bidx, tech))
                 if table is None:
-                    table = links[bidx, tech] = _link_table(buoy, config.nodes, tech)
-                for delay_ns, addr, rx_dbm in table:
-                    push(t + delay_ns, _PRIO_WUS, addr, ("wus", addr, signal, req_ns, rx_dbm))
+                    table = links[bidx, tech] = _link_table(buoy, runtimes, tech)
+                for delay_ns, addr, nrt, miss in table:
+                    time_ns = t + delay_ns
+                    if time_ns <= horizon_ns:
+                        entry = ("wus", addr, nrt, req, req_ns, miss)
+                        heappush(heap, (time_ns, _PRIO_WUS, addr, next(seq), entry))
 
-        elif kind == "wus":
-            _, addr, signal, req_ns, rx_dbm = payload
-            nrt = runtimes[addr]
-            actor = nrt.actor
-            nrt.settle(t, events)
-            if nrt.depleted:
-                events.append(SimEvent(t, actor, "wus_arrival", "depleted"))
-                fail(t, DEPLETED, actor, f"target={signal.target_address}", nrt)
-            elif rx_dbm < nrt.node.sensitivity_dbm:
-                events.append(
-                    SimEvent(t, actor, "wus_arrival", f"below_sensitivity rx_dbm={rx_dbm:.3f}")
-                )
-                fail(
-                    t,
-                    OUT_OF_RANGE,
-                    actor,
-                    f"rx {rx_dbm:.3f} dBm below sensitivity {nrt.node.sensitivity_dbm:.3f} dBm",
-                    nrt,
-                )
-            elif signal.target_address != addr:
-                events.append(
-                    SimEvent(t, actor, "wus_arrival", f"address_mismatch target={signal.target_address}")
-                )
-                fail(t, ADDRESS_MISMATCH, actor, f"target={signal.target_address} local={addr}", nrt)
-            elif nrt.state == ACTIVE:
-                # Fig-2-style interrupt targets a sleeping controller; an
-                # already-active node ignores further signals.
-                events.append(SimEvent(t, actor, "wus_arrival", "ignored_active"))
-            else:
-                latency_s = (t - req_ns) / _NS
-                nrt.state = ACTIVE
-                nrt.wakes += 1
-                nrt.latencies_s.append(latency_s)
-                events.append(SimEvent(t, actor, "node_wake", f"latency_s={latency_s:.9f}"))
-                push(t + nrt.burst_ns, _PRIO_SLEEP, addr, ("sleep", addr))
-
-        else:  # "sleep"
-            addr = payload[1]
-            nrt = runtimes[addr]
-            nrt.settle(t, events)
-            if not nrt.depleted and nrt.state == ACTIVE:
-                nrt.state = SLEEP
-                events.append(SimEvent(t, nrt.actor, "node_sleep", ""))
+        else:  # "request"
+            req = payload[1]
+            events.append(SimEvent(t, "uav", "wake_request", f"target={req.target_address}"))
+            for bidx, delay_ns in hops:
+                time_ns = t + delay_ns
+                if time_ns <= horizon_ns:
+                    heappush(heap, (time_ns, _PRIO_RF, bidx, next(seq), ("rf", bidx, req, t)))
+            if not hops:
+                failures.append(FailureRecord(t, OUT_OF_RANGE, "uav", "no buoy within rf range"))
 
     for nrt in runtimes.values():
         nrt.settle(horizon_ns, events)
 
     # Depletions are discovered while settling, possibly after later-timed
     # entries were already logged; a stable sort restores chronology.
-    events.sort(key=lambda e: e.time_ns)
+    events.sort(key=attrgetter("time_ns"))
 
     node_reports = {}
     for addr in sorted(runtimes):
         nrt = runtimes[addr]
-        consumed = _consumed_mah(nrt.node.energy, nrt.active_ns, nrt.sleep_ns)
+        consumed = nrt.consumed_mah()
         remaining = nrt.initial_mah - consumed
         if remaining < 0.0:  # sub-ulp overshoot from the depletion split
             remaining = 0.0
@@ -524,13 +537,23 @@ def simulate_lifetime(node: Node, wake_rate_per_hour, horizon_hours):
             f"{wake_rate_per_hour} wakes/h of {node.energy.active_duration_s} s "
             f"exceed one hour"
         )
-    if horizon_hours <= 0.0:
-        raise ConfigError(f"horizon must be positive: {horizon_hours}")
-    horizon_s = horizon_hours * 3600.0
+    # An int horizon stays an int, so one beyond the float range is
+    # rejected below instead of raising OverflowError here.
+    horizon_s = horizon_hours * 3600
+    if not _valid_horizon(horizon_s):
+        raise ConfigError(
+            f"horizon must be positive and finite in whole ns: {horizon_hours} h"
+        )
     requests = []
     if wake_rate_per_hour > 0.0:
         interval_s = 3600.0 / wake_rate_per_hour
-        count = int(math.floor((horizon_s - 1e-6) / interval_s)) + 1
+        last = (horizon_s - 1e-6) / interval_s  # index of the last request
+        if not last < MAX_POINTS:
+            raise ConfigError(
+                f"{wake_rate_per_hour} wakes/h over {horizon_hours} h "
+                f"is more than {MAX_POINTS} requests"
+            )
+        count = int(math.floor(last)) + 1
         requests = [WakeRequest(k * interval_s, node.address) for k in range(count)]
     config = SimConfig(
         uav=Uav(Position3D(node.position.x, node.position.y, -10.0), rf_range_m=100.0),

@@ -1,11 +1,14 @@
 """Event-driven wake-up protocol: latency, addressing, charge accounting."""
 
+import dataclasses
 import gc
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from iout_wakeup.core import Position3D
+from iout_wakeup.core import TECHNOLOGIES, Position3D
 from iout_wakeup.energy import (
     ACOUSTIC_ENERGY,
     EnergyProfile,
@@ -155,6 +158,39 @@ def test_wus_at_active_node_is_ignored():
     assert nrep.final_state == SLEEP
 
 
+def _two_relay_config(requests):
+    """Node 1 between two relaying buoys, 200 m apart, with a 50 ms burst
+    that ends before the far buoy's signal arrives."""
+    energy = dataclasses.replace(ACOUSTIC_ENERGY, active_duration_s=0.05)
+    return SimConfig(
+        uav=Uav(Position3D(0.0, 0.0, -10.0), rf_range_m=300.0),
+        buoys=[Buoy(Position3D(0.0, 0.0, 0.0)), Buoy(Position3D(200.0, 0.0, 0.0))],
+        nodes=[Node(1, Position3D(0.0, 0.0, 50.0), "acoustic", energy=energy)],
+        wake_requests=requests,
+        horizon_s=10.0,
+    )
+
+
+def test_one_request_wakes_a_node_once():
+    report = run(_two_relay_config([WakeRequest(0.0, 1)]))
+    nrep = report.nodes[1]
+    assert nrep.wakes == 1
+    assert nrep.wake_latencies_s == [(RF_DELAY_NS + 33_333_333) / 1e9]  # the near buoy
+    assert nrep.failures == 0 and report.failures == []
+    arrivals = [(e.time_s, e.detail) for e in report.events if e.kind == "wus_arrival"]
+    # the far buoy's relay lands ~0.137 s in, after the node went back to sleep
+    assert [detail for _, detail in arrivals] == ["duplicate_request"]
+    assert arrivals[0][0] == pytest.approx(0.1374, abs=1e-4)
+    assert nrep.final_state == SLEEP
+
+
+def test_a_new_request_wakes_the_node_again():
+    report = run(_two_relay_config([WakeRequest(0.0, 1), WakeRequest(1.0, 1)]))
+    assert report.nodes[1].wakes == 2
+    details = [e.detail for e in report.events if e.kind == "wus_arrival"]
+    assert details == ["duplicate_request", "duplicate_request"]
+
+
 def test_back_to_back_requests_keep_node_active():
     # one request per burst duration: the node re-wakes the instant it sleeps
     node = make_node("acoustic", address=1, depth_m=100.0)
@@ -246,11 +282,14 @@ def test_config_rejects_node_above_surface():
         lambda c: setattr(c, "horizon_s", float("nan")),
         lambda c: setattr(c, "horizon_s", float("inf")),
         lambda c: setattr(c, "horizon_s", 1e300),
+        lambda c: setattr(c, "horizon_s", 10**400),
+        lambda c: setattr(c, "horizon_s", 4e-10),
         lambda c: setattr(c.uav, "rf_range_m", float("nan")),
         lambda c: setattr(c.nodes[0], "sensitivity_dbm", float("nan")),
         lambda c: c.wake_requests.append(WakeRequest(float("nan"), 1)),
     ],
-    ids=["nan-horizon", "inf-horizon", "horizon-beyond-ns", "nan-rf-range",
+    ids=["nan-horizon", "inf-horizon", "horizon-beyond-ns", "int-horizon-beyond-float",
+         "horizon-under-1-ns", "nan-rf-range",
          "nan-sensitivity", "nan-request-time"],
 )
 def test_config_rejects_non_finite_values(change):
@@ -308,6 +347,28 @@ def test_simulate_lifetime_rejects_overfull_hour():
         simulate_lifetime(make_node("acoustic"), 3601.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "hours",
+    [float("nan"), float("inf"), -float("inf"), 0.0, -1.0, 1e-13, 1e300, 10**400],
+    ids=["nan", "inf", "-inf", "zero", "negative", "under-1-ns", "ns-beyond-float",
+         "int-beyond-float"],
+)
+def test_simulate_lifetime_rejects_bad_horizons(hours):
+    with pytest.raises(ConfigError, match="horizon"):
+        simulate_lifetime(make_node("acoustic"), 10.0, hours)
+
+
+def test_simulate_lifetime_rejects_too_many_requests(monkeypatch):
+    # 1e10 h at 10/h: a finite horizon of 1e11 requests, refused unbuilt
+    with pytest.raises(ConfigError, match="requests"):
+        simulate_lifetime(make_node("acoustic"), 10.0, 1e10)
+    # one request per second (the acoustic burst is 1 s): 10 fit in 10 s
+    monkeypatch.setattr("iout_wakeup.sim.MAX_POINTS", 10)
+    assert simulate_lifetime(make_node("acoustic"), 3600.0, 10 / 3600) > 0.0
+    with pytest.raises(ConfigError, match="more than 10 requests"):
+        simulate_lifetime(make_node("acoustic"), 3600.0, 11 / 3600)
+
+
 def test_node_defaults_fill_in():
     node = Node(address=5, position=Position3D(0, 0, 10.0), technology="optical")
     assert node.sensitivity_dbm == -53.0
@@ -363,6 +424,9 @@ PINNED = (
     "03b1ffeed045788ce50dfd02b4c54599313d02c39823801a2187a3c101f886aa",
     "7ec358b74769a38622ecf45f297e797f75178cd479307f28dfabcddbed7b7c1a",
 )
+# SHA-256 of repr(report.events) of the pinned scenario, recorded while the
+# records were frozen dataclasses.
+PINNED_EVENTS_REPR = "798c176b2e952f6acfc3cca2f91968072c7d1e7f4483a4618a3d790f4a9dc249"
 
 
 def test_pinned_scenario_outputs(tmp_path):
@@ -375,6 +439,41 @@ def test_pinned_scenario_outputs(tmp_path):
         hashlib.sha256(repr(report.failures).encode()).hexdigest(),
     )
     assert digests == PINNED
+
+
+def test_pinned_scenario_event_records():
+    report = run(_pinned_config())
+    assert hashlib.sha256(repr(report.events).encode()).hexdigest() == PINNED_EVENTS_REPR
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_out_of_range_iff_below_sensitivity(data):
+    # one node per technology straight under the buoy, each sent its own request
+    nodes = []
+    for address, tech in enumerate(TECHNOLOGIES, start=1):
+        node = make_node(tech, address=address)
+        depth = data.draw(st.floats(*node.link_params.sweep_range_m), label=tech)
+        node.position = Position3D(0.0, 0.0, depth)
+        nodes.append(node)
+    config = _config(nodes, [WakeRequest(0.0, node.address) for node in nodes])
+    report = run(config)
+    buoy = config.buoys[0].position
+    for node in nodes:
+        rx_dbm = node.link_params.rx_dbm(buoy.distance_to(node.position))
+        events = [e.detail for e in report.events
+                  if e.actor == f"node{node.address}" and e.kind == "wus_arrival"]
+        failures = [f for f in report.failures if f.actor == f"node{node.address}"]
+        if rx_dbm < node.sensitivity_dbm:
+            assert events == [f"below_sensitivity rx_dbm={rx_dbm:.3f}"]
+            assert [(f.reason, f.detail) for f in failures] == [(
+                OUT_OF_RANGE,
+                f"rx {rx_dbm:.3f} dBm below sensitivity {node.sensitivity_dbm:.3f} dBm",
+            )]
+            assert report.nodes[node.address].wakes == 0
+        else:
+            assert events == [] and failures == []
+            assert report.nodes[node.address].wakes == 1
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
