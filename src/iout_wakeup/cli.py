@@ -59,19 +59,11 @@ _LINK_FLAGS = {
     "--cal-gain-db": "calibration_gain_db",
 }
 
-# lifetime flags that replace a field of the technology's energy profile.
-_ENERGY_FLAGS = {
-    "--capacity-mah": "battery_capacity_mah",
-    "--active-ma": "active_current_ma",
-    "--sleep-ma": "sleep_current_ma",
-    "--active-s": "active_duration_s",
-}
-
-# lifetime --policy: the CSV policy name and the wake policy at a rate.
+# lifetime --policy: the wake policy at a rate (its kind names it in the CSV).
 _POLICIES = {
-    "nowu": ("no_wakeup", lambda rate: WakePolicy.no_wakeup()),
-    "dc": ("duty_cycle", WakePolicy.duty_cycle),
-    "od": ("on_demand", WakePolicy.on_demand),
+    "nowu": lambda rate: WakePolicy.no_wakeup(),
+    "dc": WakePolicy.duty_cycle,
+    "od": WakePolicy.on_demand,
 }
 
 
@@ -125,8 +117,10 @@ def _build_parser():
     life.add_argument("--rate-min", type=_finite_float, default=1.0)
     life.add_argument("--rate-max", type=_finite_float, default=10.0)
     life.add_argument("--rate-step", type=_finite_float, default=1.0)
-    for flag, name in _ENERGY_FLAGS.items():
-        life.add_argument(flag, dest=name, type=_finite_float, metavar=name.upper(),
+    # the energy keys of a scenario node, as flags: --capacity-mah, ...
+    for key, name in scenario_io.ENERGY_KEYS.items():
+        life.add_argument(f"--{key.replace('_', '-')}", dest=name, type=_finite_float,
+                          metavar=name.upper(),
                           help="overrides the technology's reference profile")
     life.add_argument("--out", default=None, help="CSV output path (default: stdout)")
 
@@ -158,11 +152,12 @@ def _sweep_params(args):
 
 
 def _grid(start, stop, step):
-    """start, start+step, ... up to stop (inclusive within 1e-9 steps)."""
-    count = (stop - start) / step
-    if count > MAX_POINTS:
+    """start, start+step, ... up to stop (inclusive within 1e-9 steps): at
+    most MAX_POINTS points."""
+    steps = (stop - start) / step + 1e-9
+    if not steps < MAX_POINTS:  # int(steps) + 1 points; inf and NaN fail too
         raise _CliError(2, f"grid of more than {MAX_POINTS} points")
-    return [start + i * step for i in range(int(count + 1e-9) + 1)]
+    return [start + i * step for i in range(int(steps) + 1)]
 
 
 def _cmd_sweep_range(args):
@@ -189,25 +184,23 @@ def _cmd_sweep_range(args):
 
 
 def _cmd_lifetime(args):
-    profile = energy_profile(args.tech, **_given(args, _ENERGY_FLAGS.values()))
+    profile = energy_profile(args.tech, **_given(args, scenario_io.ENERGY_KEYS.values()))
     if args.rate_per_hour is not None:
         rates = [args.rate_per_hour]
     else:
         if args.rate_step <= 0.0 or not args.rate_min <= args.rate_max:
             raise _CliError(2, "need rate-min <= rate-max and positive rate-step")
         rates = _grid(args.rate_min, args.rate_max, args.rate_step)
-    kinds = _POLICIES.values() if args.policy == "all" else [_POLICIES[args.policy]]
-    rows = [
-        (rate, lifetime_hours(profile, policy(rate)), name)
-        for name, policy in kinds
-        for rate in rates
-    ]
+    makers = _POLICIES.values() if args.policy == "all" else [_POLICIES[args.policy]]
+    rows = []
+    for make in makers:
+        for rate in rates:
+            policy = make(rate)
+            rows.append((rate, lifetime_hours(profile, policy), policy.kind))
     if args.out:
         scenario_io.write_lifetime_csv(args.out, rows)
     else:
-        print("tx_per_hour,lifetime_h,policy")
-        for rate, hours, name in rows:
-            print(f"{fmt6(rate)},{fmt6(hours)},{name}")
+        sys.stdout.writelines(scenario_io.lifetime_csv(rows))
     return 0
 
 

@@ -63,6 +63,14 @@ def require_finite(obj):
             raise DomainError(f"{name} must be finite: {getattr(obj, name)}")
 
 
+def cos_misalignment(beta_deg):
+    """cos(beta) of a misalignment angle, which must be in [0, 90] degrees;
+    exactly 0 at 90 (cos(radians(90)) is ~6e-17)."""
+    if not 0.0 <= beta_deg <= 90.0:
+        raise DomainError(f"misalignment must be in [0, 90]: {beta_deg} deg")
+    return 0.0 if beta_deg == 90.0 else math.cos(math.radians(beta_deg))
+
+
 @dataclass(frozen=True)
 class Position3D:
     """Point in metres; z positive down, water surface at z = 0."""
@@ -95,15 +103,14 @@ class Medium:
 class TechnologyProfile:
     """Reference data per wake-up technology (speed, sensitivity)."""
 
-    kind: str
     propagation_speed_m_s: float
     default_sensitivity_dbm: float
 
 
 PROFILES = {
-    ACOUSTIC: TechnologyProfile(ACOUSTIC, SOUND_SPEED_M_S, -10.0),
-    OPTICAL: TechnologyProfile(OPTICAL, LIGHT_SPEED_M_S, -53.0),
-    MI: TechnologyProfile(MI, LIGHT_SPEED_M_S, -69.0),
+    ACOUSTIC: TechnologyProfile(SOUND_SPEED_M_S, -10.0),
+    OPTICAL: TechnologyProfile(LIGHT_SPEED_M_S, -53.0),
+    MI: TechnologyProfile(LIGHT_SPEED_M_S, -69.0),
 }
 
 

@@ -108,11 +108,11 @@ def lifetime_hours(profile: EnergyProfile, policy: WakePolicy):
     return hours
 
 
-def active_charge_ratio(profile: EnergyProfile, dc: WakePolicy, od: WakePolicy):
+def active_charge_ratio(dc: WakePolicy, od: WakePolicy):
     """Ratio of active-mode charge per hour, duty-cycling over on-demand.
 
     Burst duration and active current cancel, leaving the activation-rate
-    ratio; the profile parameter is kept for signature symmetry.
+    ratio, so no energy profile enters.
     """
     if dc.kind == NO_WAKEUP or od.kind == NO_WAKEUP:
         raise PolicyError("active charge ratio needs rate-based policies")

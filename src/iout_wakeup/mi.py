@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import log10
 
-from .core import NEG_INF_DBM, LinkLaw, require_finite
+from .core import NEG_INF_DBM, LinkLaw, cos_misalignment, require_finite
 from .errors import DomainError
 
 MU0_H_PER_M = 4.0e-7 * math.pi
@@ -58,10 +58,7 @@ class MiLinkParams(LinkLaw):
         for name, value in positive:
             if value <= 0:
                 raise DomainError(f"{name} must be positive: {value}")
-        if not 0.0 <= self.misalignment_beta_deg <= 90.0:
-            raise DomainError(
-                f"misalignment must be in [0, 90]: {self.misalignment_beta_deg} deg"
-            )
+        # A misalignment outside [0, 90] raises here.
         if not self.geometry_db < math.inf:
             raise DomainError(
                 "coil factor turns_tx*turns_rx*coil_radius_tx_m^3*coil_radius_rx_m^3 "
@@ -87,9 +84,7 @@ class MiLinkParams(LinkLaw):
     def geometry_db(self):
         """10*log10 of the coil/misalignment factor (-inf for orthogonal coils,
         +inf when the factor is beyond the float range)."""
-        beta = self.misalignment_beta_deg
-        # exact zero at the orthogonal endpoint (cos(radians(90)) is ~6e-17)
-        cos_beta = 0.0 if beta == 90.0 else math.cos(math.radians(beta))
+        cos_beta = cos_misalignment(self.misalignment_beta_deg)
         try:
             factor = (
                 self.turns_tx

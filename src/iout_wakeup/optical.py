@@ -18,7 +18,7 @@ from enum import Enum
 from functools import cached_property
 from math import log10
 
-from .core import NEG_INF_DBM, LinkLaw, require_finite
+from .core import NEG_INF_DBM, LinkLaw, cos_misalignment, require_finite
 from .errors import DomainError
 
 DB_PER_NEPER = 10.0 / math.log(10.0)  # exp(-c*d) expressed in dB: -DB_PER_NEPER*c*d
@@ -44,17 +44,10 @@ _EXTINCTION_PER_M = {
     WaterType.HARBOR: 2.17,
 }
 
-DEFAULT_WATER_TYPE = WaterType.CLEAR_OCEAN
-
 
 def extinction_coefficient(water: WaterType):
     """Beam extinction coefficient in 1/m for a water turbidity class."""
     return _EXTINCTION_PER_M[WaterType(water)]
-
-
-def _cos_beta(beta_deg):
-    # exact zero at the orthogonal endpoint (cos(radians(90)) is ~6e-17)
-    return 0.0 if beta_deg == 90.0 else math.cos(math.radians(beta_deg))
 
 
 @dataclass(frozen=True)
@@ -81,10 +74,8 @@ class OpticalLinkParams(LinkLaw):
             )
         if self.extinction_per_m < 0.0:
             raise DomainError(f"extinction must be non-negative: {self.extinction_per_m} /m")
-        if not 0.0 <= self.misalignment_beta_deg <= 90.0:
-            raise DomainError(
-                f"misalignment must be in [0, 90]: {self.misalignment_beta_deg} deg"
-            )
+        # A misalignment outside [0, 90] raises here.
+        self.capture_db_1m
 
     @cached_property
     def ptx_dbm(self):
@@ -98,7 +89,7 @@ class OpticalLinkParams(LinkLaw):
     def capture_db_1m(self):
         """Aperture / beam-footprint ratio at 1 m, in dB (-inf at beta = 90)."""
         footprint_1m = math.pi * math.tan(math.radians(self.divergence_half_angle_deg)) ** 2
-        capture = self.aperture_area_m2 * _cos_beta(self.misalignment_beta_deg)
+        capture = self.aperture_area_m2 * cos_misalignment(self.misalignment_beta_deg)
         if capture <= 0.0:
             return NEG_INF_DBM
         if footprint_1m == 0.0:  # a beam too narrow for floats: the 0 dB cap applies
@@ -116,11 +107,6 @@ class OpticalLinkParams(LinkLaw):
         if g > 0.0:
             g = 0.0
         return self.ptx_dbm - self.extinction_db_per_m * d + g
-
-
-def for_water(water: WaterType, **overrides):
-    """Reference parameters with the extinction of a water class."""
-    return OpticalLinkParams(extinction_per_m=extinction_coefficient(water), **overrides)
 
 
 def received_power_dbm(params: OpticalLinkParams, distance_m):

@@ -17,6 +17,7 @@ from dataclasses import fields
 from decimal import Decimal
 from functools import cache, partial
 from importlib import resources
+from itertools import chain
 
 from .core import TECHNOLOGIES, LinkLaw, Medium, Position3D
 from .energy import EnergyProfile, energy_profile
@@ -61,7 +62,8 @@ _NODE_KEYS = _same("address", "position", "sensitivity_dbm", "energy") | {
     "tech": "technology",
     "link": "link_params",
 }
-_ENERGY_KEYS = {
+# Also the lifetime CLI's energy flags: --capacity-mah sets battery_capacity_mah.
+ENERGY_KEYS = {
     "capacity_mah": "battery_capacity_mah",
     "active_ma": "active_current_ma",
     "sleep_ma": "sleep_current_ma",
@@ -161,7 +163,7 @@ def _node(medium, path, technology, position, link_params=None, energy=None, **g
     if energy is not None:
         profile = partial(energy_profile, technology)
         types = _field_types(EnergyProfile)
-        given["energy"] = _record(profile, _ENERGY_KEYS, energy, f"{path}.energy", (), types)
+        given["energy"] = _record(profile, ENERGY_KEYS, energy, f"{path}.energy", (), types)
     return Node(technology=technology, position=position, **given)
 
 
@@ -222,7 +224,7 @@ def _json_value(value):
     if isinstance(value, tuple):
         return list(value)
     if isinstance(value, EnergyProfile):
-        return _dump(value, _ENERGY_KEYS)
+        return _dump(value, ENERGY_KEYS)
     if isinstance(value, LinkLaw):
         types = _field_types(type(value))
         return {name: getattr(value, name) for name, t in types.items() if t is not Medium}
@@ -264,29 +266,34 @@ def load_preset(name) -> SimConfig:
 # ---------------------------------------------------------------------------
 # CSV emission
 
-def _write_csv(path, header, lines):
-    """Write a header row and the lines (any iterable of rendered rows, each
-    ending in a newline)."""
+def _write_csv(path, lines):
+    """Write the rendered lines of a CSV (any iterable, header first, each
+    line ending in a newline)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
         fh.writelines(lines)
 
 
 def write_range_sweep_csv(path, distances_m, powers_dbm):
     """Rows of distance_m, rx_power_dbm ordered by distance."""
     lines = (f"{fmt6(d)},{fmt6(p)}\n" for d, p in zip(distances_m, powers_dbm))
-    _write_csv(path, "distance_m,rx_power_dbm", lines)
+    _write_csv(path, chain(["distance_m,rx_power_dbm\n"], lines))
+
+
+def lifetime_csv(rows):
+    """Lines of the lifetime CSV from (tx_per_hour, lifetime_h, policy)
+    tuples, header first; ``lifetime`` without --out prints them."""
+    lines = (f"{fmt6(rate)},{fmt6(hours)},{policy}\n" for rate, hours, policy in rows)
+    return chain(["tx_per_hour,lifetime_h,policy\n"], lines)
 
 
 def write_lifetime_csv(path, rows):
     """Rows of (tx_per_hour, lifetime_h, policy) tuples."""
-    lines = (f"{fmt6(rate)},{fmt6(hours)},{policy}\n" for rate, hours, policy in rows)
-    _write_csv(path, "tx_per_hour,lifetime_h,policy", lines)
+    _write_csv(path, lifetime_csv(rows))
 
 
 def write_events_csv(path, report):
     lines = (f"{e.time_ns / 1e9:.9f},{e.actor},{e.kind},{e.detail}\n" for e in report.events)
-    _write_csv(path, "time_s,actor,kind,detail", lines)
+    _write_csv(path, chain(["time_s,actor,kind,detail\n"], lines))
 
 
 def write_summary_csv(path, report):
@@ -295,4 +302,4 @@ def write_summary_csv(path, report):
         f"{fmt6(nr.mean_latency_s)},{nr.failures}\n"
         for nr in report.nodes.values()
     )
-    _write_csv(path, "address,wakes,charge_consumed_mah,mean_latency_s,failures", lines)
+    _write_csv(path, chain(["address,wakes,charge_consumed_mah,mean_latency_s,failures\n"], lines))

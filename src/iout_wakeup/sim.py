@@ -41,8 +41,8 @@ from .core import (
     Position3D,
     propagation_delay,
 )
-from .energy import EnergyProfile, DEFAULT_ENERGY
-from .errors import ConfigError, DomainError, PolicyError
+from .energy import DEFAULT_ENERGY, EnergyProfile, WakePolicy, average_current
+from .errors import ConfigError, DomainError
 
 SLEEP = "sleep"
 ACTIVE = "active"
@@ -105,7 +105,7 @@ def _valid_horizon(horizon_s):
 
 @dataclass
 class Node:
-    """Submerged sensor node; ``state`` is the initial state at t = 0."""
+    """Submerged sensor node; every node starts asleep at t = 0."""
 
     address: int
     position: Position3D
@@ -113,7 +113,6 @@ class Node:
     link_params: object = None
     sensitivity_dbm: float = None
     energy: EnergyProfile = None
-    state: str = SLEEP
     remaining_charge_mah: float = None  # None = full battery
 
     def __post_init__(self):
@@ -220,7 +219,7 @@ class _NodeRuntime:
         self.burst_ns = _to_ns(node.energy.active_duration_s)
         self.active_ma = node.energy.active_current_ma
         self.sleep_ma = node.energy.sleep_current_ma
-        self.state = node.state
+        self.state = SLEEP
         self.initial_mah = node.remaining_charge_mah
         self.last_ns = 0
         self.active_ns = 0
@@ -530,13 +529,9 @@ def simulate_lifetime(node: Node, wake_rate_per_hour, horizon_hours):
     horizon.  Returns the depletion time if the battery dies inside the
     horizon, otherwise extrapolates linearly from the consumed charge.
     """
-    if not wake_rate_per_hour >= 0.0:
-        raise PolicyError(f"rate must be non-negative: {wake_rate_per_hour}")
-    if wake_rate_per_hour * node.energy.active_duration_s > 3600.0:
-        raise PolicyError(
-            f"{wake_rate_per_hour} wakes/h of {node.energy.active_duration_s} s "
-            f"exceed one hour"
-        )
+    # The closed form's rate rule: a rate lifetime_hours rejects raises the
+    # same PolicyError or DomainError here.
+    average_current(node.energy, WakePolicy.on_demand(wake_rate_per_hour))
     # An int horizon stays an int, so one beyond the float range is
     # rejected below instead of raising OverflowError here.
     horizon_s = horizon_hours * 3600
@@ -554,7 +549,8 @@ def simulate_lifetime(node: Node, wake_rate_per_hour, horizon_hours):
                 f"is more than {MAX_POINTS} requests"
             )
         count = int(math.floor(last)) + 1
-        requests = [WakeRequest(k * interval_s, node.address) for k in range(count)]
+        # 0 * inf is NaN: a rate whose 3600/rate overflows asks once, at t = 0
+        requests = [WakeRequest(k * interval_s if k else 0.0, node.address) for k in range(count)]
     config = SimConfig(
         uav=Uav(Position3D(node.position.x, node.position.y, -10.0), rf_range_m=100.0),
         buoys=[Buoy(Position3D(node.position.x, node.position.y, 0.0))],

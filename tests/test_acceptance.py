@@ -29,7 +29,6 @@ from iout_wakeup.mi import received_power_dbm as mi_rx
 from iout_wakeup.optical import (
     OpticalLinkParams,
     WaterType,
-    for_water,
     optical_max_range,
 )
 from iout_wakeup.optical import received_power_dbm as optical_rx
@@ -38,6 +37,7 @@ from iout_wakeup.sim import (
     SimConfig,
     Uav,
     WakeRequest,
+    make_link,
     make_node,
     run,
     simulate_lifetime,
@@ -90,14 +90,16 @@ def test_criterion_2_acoustic_model_self_consistency():
 
 def test_criterion_3_optical_range_anchor_and_orderings():
     with criterion(3, "optical max range 90 m +/- 20%; decreasing in beta and turbidity"):
-        r = optical_max_range(for_water(WaterType.CLEAR_OCEAN), -53.0)
+        r = optical_max_range(make_link("optical", water_type=WaterType.CLEAR_OCEAN), -53.0)
         assert abs(r - 90.0) <= 18.0, r
         beta_ranges = [
             optical_max_range(OpticalLinkParams(misalignment_beta_deg=b), -53.0)
             for b in (0.0, 15.0, 30.0, 45.0)
         ]
         assert all(a > b for a, b in zip(beta_ranges, beta_ranges[1:])), beta_ranges
-        water_ranges = [optical_max_range(for_water(w), -53.0) for w in WaterType]
+        water_ranges = [
+            optical_max_range(make_link("optical", water_type=w), -53.0) for w in WaterType
+        ]
         assert all(a > b for a, b in zip(water_ranges, water_ranges[1:])), water_ranges
 
 
@@ -123,9 +125,7 @@ def test_criterion_5_lifetime_orderings_and_exact_values():
             od1 = lifetime_hours(profile, WakePolicy.on_demand(1.0))
             assert no_wu < dc5 < od1, (no_wu, dc5, od1)
         assert lifetime_hours(ACOUSTIC_ENERGY, WakePolicy.no_wakeup()) == 1900.0
-        ratio = active_charge_ratio(
-            ACOUSTIC_ENERGY, WakePolicy.duty_cycle(5.0), WakePolicy.on_demand(1.0)
-        )
+        ratio = active_charge_ratio(WakePolicy.duty_cycle(5.0), WakePolicy.on_demand(1.0))
         assert ratio == 5.0
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iout_wakeup.cli import main
-from iout_wakeup.core import PROFILES, Medium
+from iout_wakeup.core import PROFILES, TECHNOLOGIES, Medium
 from iout_wakeup.scenario import fmt6
 from iout_wakeup.sim import make_link
 
@@ -195,6 +195,32 @@ def test_sweep_range_rejected_flags_exit_2(argv, capsys):
     _assert_one_error_line(rc, capsys)
 
 
+# start 1 and step 1, so the stop is the last point of the grid
+@pytest.mark.parametrize(
+    "stop,rc",
+    [("10", 0), ("11", 2), ("10.99999999999", 2)],
+    ids=["10-points", "11-points", "slack-rounds-up-to-11-points"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-range", "--tech", "acoustic", "--dmin", "1", "--step", "1", "--dmax"],
+        ["lifetime", "--tech", "acoustic", "--policy", "od", "--rate-min", "1",
+         "--rate-step", "1", "--rate-max"],
+    ],
+    ids=["sweep-range", "lifetime"],
+)
+def test_grids_hold_at_most_max_points(argv, stop, rc, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr("iout_wakeup.cli.MAX_POINTS", 10)
+    out = tmp_path / "grid.csv"
+    code = main([*argv, stop, "--out", str(out)])
+    assert code == rc
+    if rc == 0:
+        assert len(out.read_text().splitlines()) == 1 + 10
+    else:
+        _assert_one_error_line(code, capsys)
+
+
 @pytest.mark.parametrize(
     "tech,argv,fields",
     [
@@ -269,6 +295,18 @@ def test_lifetime_energy_flags_override_the_profile(capsys):
     assert rc == 0
     # 100 / ((2*2*4 + (3600-4)*0.1) / 3600)
     assert _stdout_lines(capsys)[1] == "2,958.466,on_demand"
+
+
+@pytest.mark.parametrize("policy", ["all", "nowu", "dc", "od"])
+@pytest.mark.parametrize("tech", TECHNOLOGIES)
+def test_lifetime_prints_the_bytes_out_writes(tech, policy, tmp_path, capsys):
+    argv = ["lifetime", "--tech", tech, "--policy", policy, "--rate-max", "12", "--rate-step", "0.7"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "lifetime.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode()
 
 
 def test_lifetime_overfull_rate_exits_2(capsys):

@@ -106,18 +106,16 @@ def test_overfull_hour_rejected():
 
 
 def test_active_charge_ratio():
-    profile = ACOUSTIC_ENERGY
-    assert active_charge_ratio(profile, WakePolicy.duty_cycle(5.0), WakePolicy.on_demand(1.0)) == 5.0
-    assert active_charge_ratio(profile, WakePolicy.duty_cycle(3.0), WakePolicy.on_demand(3.0)) == 1.0
-    assert active_charge_ratio(profile, WakePolicy.duty_cycle(10.0), WakePolicy.on_demand(2.0)) == 5.0
+    assert active_charge_ratio(WakePolicy.duty_cycle(5.0), WakePolicy.on_demand(1.0)) == 5.0
+    assert active_charge_ratio(WakePolicy.duty_cycle(3.0), WakePolicy.on_demand(3.0)) == 1.0
+    assert active_charge_ratio(WakePolicy.duty_cycle(10.0), WakePolicy.on_demand(2.0)) == 5.0
 
 
 def test_active_charge_ratio_needs_positive_rates():
-    profile = ACOUSTIC_ENERGY
     with pytest.raises(PolicyError):
-        active_charge_ratio(profile, WakePolicy.duty_cycle(5.0), WakePolicy.on_demand(0.0))
+        active_charge_ratio(WakePolicy.duty_cycle(5.0), WakePolicy.on_demand(0.0))
     with pytest.raises(PolicyError):
-        active_charge_ratio(profile, WakePolicy.no_wakeup(), WakePolicy.on_demand(1.0))
+        active_charge_ratio(WakePolicy.no_wakeup(), WakePolicy.on_demand(1.0))
 
 
 def test_profile_validation():

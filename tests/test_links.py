@@ -5,8 +5,10 @@ from dataclasses import fields
 
 import pytest
 
-from iout_wakeup.core import Medium
+from iout_wakeup.core import NEG_INF_DBM, Medium
 from iout_wakeup.errors import DomainError
+from iout_wakeup.mi import MiLinkParams
+from iout_wakeup.optical import OpticalLinkParams
 from iout_wakeup.sim import LINK_TYPES
 
 
@@ -30,3 +32,16 @@ def test_distance_below_the_law_rejected(cls):
     for bad in (params.min_distance_m * 0.5, 0.0, -1.0, math.nan):
         with pytest.raises(DomainError):
             params.sweep(bad, 1.0, 3)
+
+
+@pytest.mark.parametrize("cls", [OpticalLinkParams, MiLinkParams], ids=lambda c: c.__name__)
+def test_both_misalignment_laws_apply_one_rule(cls):
+    for beta in (-1e-9, 90.000001, -math.inf):
+        with pytest.raises(DomainError, match="misalignment"):
+            cls(misalignment_beta_deg=beta)
+    aligned, zero = cls(), cls(misalignment_beta_deg=0.0)
+    orthogonal = cls(misalignment_beta_deg=90.0)
+    assert zero == aligned
+    for d in (max(aligned.min_distance_m, 1e-3), 1.0, 44.0, 1e4, 1e300):
+        assert orthogonal.sweep(d, 1.0, 1) == [NEG_INF_DBM]
+        assert zero.sweep(d, 1.0, 1) == aligned.sweep(d, 1.0, 1)

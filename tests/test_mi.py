@@ -132,8 +132,9 @@ def test_param_validation():
         MiLinkParams(turns_tx=0)
     with pytest.raises(DomainError):
         MiLinkParams(coil_radius_rx_m=-0.5)
-    with pytest.raises(DomainError):
-        MiLinkParams(misalignment_beta_deg=120.0)
+    for beta in (120.0, 90.000001, -1e-9):
+        with pytest.raises(DomainError, match="misalignment must be in"):
+            MiLinkParams(misalignment_beta_deg=beta)
 
 
 @pytest.mark.parametrize(

@@ -12,11 +12,11 @@ from iout_wakeup.optical import (
     OpticalLinkParams,
     WaterType,
     extinction_coefficient,
-    for_water,
     optical_max_range,
     received_power_dbm,
     sweep_received_power,
 )
+from iout_wakeup.sim import make_link
 
 
 def test_extinction_table():
@@ -94,12 +94,12 @@ def test_decreasing_in_extinction_and_misalignment():
 
 
 def test_max_range_anchor_clear_ocean():
-    r = optical_max_range(for_water(WaterType.CLEAR_OCEAN), -53.0)
+    r = optical_max_range(make_link("optical", water_type=WaterType.CLEAR_OCEAN), -53.0)
     assert abs(r - 90.0) <= 18.0  # 90 m within 20%
 
 
 def test_power_at_max_range_equals_sensitivity():
-    params = for_water(WaterType.CLEAR_OCEAN)
+    params = make_link("optical", water_type=WaterType.CLEAR_OCEAN)
     r = optical_max_range(params, -53.0, tol_m=1e-6)
     assert received_power_dbm(params, r) == pytest.approx(-53.0, abs=1e-4)
 
@@ -113,7 +113,7 @@ def test_max_range_decreasing_in_misalignment():
 
 
 def test_max_range_decreasing_in_turbidity():
-    ranges = [optical_max_range(for_water(w), -53.0) for w in WaterType]
+    ranges = [optical_max_range(make_link("optical", water_type=w), -53.0) for w in WaterType]
     assert all(a > b for a, b in zip(ranges, ranges[1:]))
 
 
@@ -129,7 +129,7 @@ def test_fully_misaligned_link_has_no_range():
 
 
 def test_sweep_matches_scalar():
-    params = for_water(WaterType.COASTAL, misalignment_beta_deg=20.0)
+    params = make_link("optical", water_type=WaterType.COASTAL, misalignment_beta_deg=20.0)
     values = sweep_received_power(params, 0.5, 1.5, 60)
     for i, v in enumerate(values):
         assert v == received_power_dbm(params, 0.5 + i * 1.5)
@@ -142,8 +142,9 @@ def test_domain_and_param_validation():
         OpticalLinkParams(transmit_power_mw=0.0)
     with pytest.raises(DomainError):
         OpticalLinkParams(divergence_half_angle_deg=90.0)
-    with pytest.raises(DomainError):
-        OpticalLinkParams(misalignment_beta_deg=91.0)
+    for beta in (91.0, 90.000001, -1e-9):
+        with pytest.raises(DomainError, match="misalignment must be in"):
+            OpticalLinkParams(misalignment_beta_deg=beta)
     with pytest.raises(DomainError):
         OpticalLinkParams(extinction_per_m=-0.1)
 

@@ -3,19 +3,21 @@
 import dataclasses
 import gc
 import hashlib
+import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iout_wakeup.core import TECHNOLOGIES, Position3D
 from iout_wakeup.energy import (
     ACOUSTIC_ENERGY,
+    DEFAULT_ENERGY,
     EnergyProfile,
     WakePolicy,
     lifetime_hours,
 )
-from iout_wakeup.errors import ConfigError, PolicyError
+from iout_wakeup.errors import ConfigError, DomainError, PolicyError
 from iout_wakeup.scenario import write_events_csv, write_summary_csv
 from iout_wakeup.sim import (
     ACTIVE,
@@ -356,6 +358,44 @@ def test_simulate_lifetime_rejects_overfull_hour():
 def test_simulate_lifetime_rejects_bad_horizons(hours):
     with pytest.raises(ConfigError, match="horizon"):
         simulate_lifetime(make_node("acoustic"), 10.0, hours)
+
+
+@st.composite
+def _technology_and_rate(draw):
+    """A technology and a wake rate from both sides of its profile's rule."""
+    tech = draw(st.sampled_from(TECHNOLOGIES))
+    full = 3600.0 / DEFAULT_ENERGY[tech].active_duration_s
+    rate = draw(st.one_of(
+        st.sampled_from([
+            math.nan, math.inf, -math.inf, 10**400, -(10**400), -1.0, -5e-324, -0.0, 0.0,
+            5e-324, 1e-310, full, math.nextafter(full, math.inf),
+        ]),
+        st.floats(min_value=0.0, max_value=full),
+        st.floats(),
+        st.integers(min_value=-(10**500), max_value=10**500),
+    ))
+    return tech, rate
+
+
+def _raised(call):
+    try:
+        call()
+    except Exception as exc:  # the class is what the property compares
+        return type(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(_technology_and_rate())
+@example(("acoustic", 10**400))
+@example(("optical", math.nan))
+@example(("mi", 5e-324))
+def test_simulate_lifetime_rejects_the_rates_the_closed_form_rejects(technology_and_rate):
+    tech, rate = technology_and_rate
+    closed = _raised(lambda: lifetime_hours(DEFAULT_ENERGY[tech], WakePolicy.on_demand(rate)))
+    simulated = _raised(lambda: simulate_lifetime(make_node(tech), rate, 0.01))
+    assert closed in (None, PolicyError, DomainError)
+    assert simulated is closed
 
 
 def test_simulate_lifetime_rejects_too_many_requests(monkeypatch):
