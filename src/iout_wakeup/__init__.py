@@ -18,11 +18,9 @@ from .core import (
     MI,
     NEG_INF_DBM,
     OPTICAL,
-    PROFILES,
     TECHNOLOGIES,
     Medium,
     Position3D,
-    TechnologyProfile,
     dbm_to_linear,
     linear_to_dbm,
     propagation_delay,

@@ -57,6 +57,7 @@ class AcousticLinkParams(LinkLaw):
     min_distance_m = REFERENCE_DISTANCE_M
     max_range_bracket_m = MAX_RANGE_BRACKET_M
     sweep_range_m = (REFERENCE_DISTANCE_M, 500.0)
+    default_sensitivity_dbm = -10.0     # dBm re 1 mW/m^2
 
     def __post_init__(self):
         require_finite(self)
@@ -68,6 +69,11 @@ class AcousticLinkParams(LinkLaw):
                 f"spreading exponent must be one of {_SPREADING_EXPONENTS}: "
                 f"{self.spreading_exponent}"
             )
+
+    @property
+    def propagation_speed_m_s(self):
+        """Sound travels at the speed of the medium it runs in."""
+        return self.medium.sound_speed_m_s
 
     @cached_property
     def alpha_db_per_km(self):
@@ -92,17 +98,7 @@ def transmission_loss(params: AcousticLinkParams, distance_m):
     return params.transmission_loss_db(distance_m)
 
 
-def received_power_density_dbm(params: AcousticLinkParams, distance_m):
-    """Received sound power density in dBm re 1 mW/m^2 at a slant range."""
-    params.check_distance(distance_m)
-    return params.rx_dbm(distance_m)
-
-
-def sweep_received_power(params: AcousticLinkParams, d0, step, n):
-    """Received power density at d0, d0+step, ... (n points)."""
-    return params.sweep(d0, step, n)
-
-
-def acoustic_max_range(params: AcousticLinkParams, sensitivity_dbm, tol_m=0.01):
-    """Largest range (m) still meeting the receiver sensitivity."""
-    return params.max_range(sensitivity_dbm, tol_m)
+# The link-law methods under this module's names (params passed first).
+received_power_density_dbm = LinkLaw.received_power_dbm
+sweep_received_power = LinkLaw.sweep
+acoustic_max_range = LinkLaw.max_range

@@ -21,7 +21,7 @@ import sys
 from dataclasses import fields
 
 from . import scenario as scenario_io
-from .core import MAX_POINTS, PROFILES, Medium, TECHNOLOGIES
+from .core import MAX_POINTS, Medium, TECHNOLOGIES
 from .energy import WakePolicy, energy_profile, lifetime_hours
 from .errors import (
     ConfigError,
@@ -169,11 +169,9 @@ def _cmd_sweep_range(args):
         raise _CliError(2, f"step must be positive: {args.step}")
     if not dmin < dmax:
         raise _CliError(2, f"need dmin < dmax: {dmin} >= {dmax}")
-    sensitivity = (
-        args.sensitivity_dbm
-        if args.sensitivity_dbm is not None
-        else PROFILES[args.tech].default_sensitivity_dbm
-    )
+    sensitivity = args.sensitivity_dbm
+    if sensitivity is None:
+        sensitivity = params.default_sensitivity_dbm
     distances = _grid(dmin, dmax, args.step)
     powers = params.sweep(dmin, args.step, len(distances))
     max_range = params.max_range(sensitivity)

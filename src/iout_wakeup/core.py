@@ -1,4 +1,4 @@
-"""Shared units, geometry, technology reference data, and the range solver.
+"""Shared units, geometry, the link-law base class, and the range solver.
 
 Conventions used throughout the package:
 
@@ -99,37 +99,24 @@ class Medium:
             raise DomainError("medium density and sound speed must be positive")
 
 
-@dataclass(frozen=True)
-class TechnologyProfile:
-    """Reference data per wake-up technology (speed, sensitivity)."""
-
-    propagation_speed_m_s: float
-    default_sensitivity_dbm: float
-
-
-PROFILES = {
-    ACOUSTIC: TechnologyProfile(SOUND_SPEED_M_S, -10.0),
-    OPTICAL: TechnologyProfile(LIGHT_SPEED_M_S, -53.0),
-    MI: TechnologyProfile(LIGHT_SPEED_M_S, -69.0),
-}
-
-
-def propagation_delay(profile: TechnologyProfile, distance_m):
-    """One-way signal travel time in seconds."""
+def propagation_delay(link, distance_m):
+    """One-way signal travel time in seconds over a link."""
     if distance_m < 0.0:
         raise DomainError(f"negative distance: {distance_m}")
-    return distance_m / profile.propagation_speed_m_s
+    return distance_m / link.propagation_speed_m_s
 
 
 class LinkLaw:
     """Distance checks, sweeps and the range solve shared by the link
-    parameter dataclasses.
+    parameter dataclasses, one per wake-up technology.
 
     A subclass defines ``rx_dbm(d)``, the received power in dBm at a
     distance the caller has checked; ``min_distance_m``, the shortest
     distance its law is defined at (distances must also be positive);
     ``max_range_bracket_m``, the (d_min, d_max) searched by ``max_range``;
-    and ``sweep_range_m``, the default (start, end) of a CLI sweep.
+    ``sweep_range_m``, the default (start, end) of a CLI sweep;
+    ``propagation_speed_m_s``, the wave speed of its signal; and
+    ``default_sensitivity_dbm``, the reference receiver sensitivity.
     """
 
     def check_distance(self, distance_m):
@@ -138,6 +125,11 @@ class LinkLaw:
                 f"distance must be positive and at least {self.min_distance_m} m: "
                 f"{distance_m} m"
             )
+
+    def received_power_dbm(self, distance_m):
+        """Received power in dBm at a checked distance."""
+        self.check_distance(distance_m)
+        return self.rx_dbm(distance_m)
 
     def sweep(self, d0, step, n):
         """Received power at d0, d0+step, ... (n points)."""

@@ -11,7 +11,7 @@ hour they cause.
 import math
 from dataclasses import dataclass, replace
 
-from .core import require_finite
+from .core import ACOUSTIC, MI, OPTICAL, require_finite
 from .errors import DomainError, PolicyError
 
 NO_WAKEUP = "no_wakeup"
@@ -47,7 +47,7 @@ ACOUSTIC_ENERGY = EnergyProfile(950.0, 0.5, 0.015, 1.0)
 OPTICAL_ENERGY = EnergyProfile(950.0, 3.6, 0.083, 1.0)
 MI_ENERGY = EnergyProfile(950.0, 0.49, 0.043, 1.0)
 
-DEFAULT_ENERGY = {"acoustic": ACOUSTIC_ENERGY, "optical": OPTICAL_ENERGY, "mi": MI_ENERGY}
+DEFAULT_ENERGY = {ACOUSTIC: ACOUSTIC_ENERGY, OPTICAL: OPTICAL_ENERGY, MI: MI_ENERGY}
 
 
 def energy_profile(technology, **given):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import log10
 
-from .core import NEG_INF_DBM, LinkLaw, cos_misalignment, require_finite
+from .core import LIGHT_SPEED_M_S, NEG_INF_DBM, LinkLaw, cos_misalignment, require_finite
 from .errors import DomainError
 
 MU0_H_PER_M = 4.0e-7 * math.pi
@@ -42,6 +42,9 @@ class MiLinkParams(LinkLaw):
     unit_coil_resistance_ohm_per_m: float = 0.01
     misalignment_beta_deg: float = 0.0
     calibration_gain_db: float = MI_CALIBRATION_GAIN_DB
+
+    propagation_speed_m_s = LIGHT_SPEED_M_S
+    default_sensitivity_dbm = -69.0
 
     def __post_init__(self):
         require_finite(self)
@@ -117,17 +120,7 @@ def mi_path_gain_db(params: MiLinkParams, distance_m):
     return params.calibration_gain_db + params.geometry_db - 60.0 * log10(distance_m)
 
 
-def received_power_dbm(params: MiLinkParams, distance_m):
-    """Received power in dBm at a coil separation d >= coil radius."""
-    params.check_distance(distance_m)
-    return params.rx_dbm(distance_m)
-
-
-def sweep_received_power(params: MiLinkParams, d0, step, n):
-    """Received power at d0, d0+step, ... (n points)."""
-    return params.sweep(d0, step, n)
-
-
-def mi_max_range(params: MiLinkParams, sensitivity_dbm, tol_m=0.01):
-    """Largest coil separation (m) still meeting the receiver sensitivity."""
-    return params.max_range(sensitivity_dbm, tol_m)
+# The link-law methods under this module's names (params passed first).
+received_power_dbm = LinkLaw.received_power_dbm
+sweep_received_power = LinkLaw.sweep
+mi_max_range = LinkLaw.max_range

@@ -18,7 +18,7 @@ from enum import Enum
 from functools import cached_property
 from math import log10
 
-from .core import NEG_INF_DBM, LinkLaw, cos_misalignment, require_finite
+from .core import LIGHT_SPEED_M_S, NEG_INF_DBM, LinkLaw, cos_misalignment, require_finite
 from .errors import DomainError
 
 DB_PER_NEPER = 10.0 / math.log(10.0)  # exp(-c*d) expressed in dB: -DB_PER_NEPER*c*d
@@ -61,6 +61,8 @@ class OpticalLinkParams(LinkLaw):
     min_distance_m = 0.0
     max_range_bracket_m = MAX_RANGE_BRACKET_M
     sweep_range_m = (0.1, 150.0)
+    propagation_speed_m_s = LIGHT_SPEED_M_S
+    default_sensitivity_dbm = -53.0
 
     def __post_init__(self):
         require_finite(self)
@@ -109,17 +111,7 @@ class OpticalLinkParams(LinkLaw):
         return self.ptx_dbm - self.extinction_db_per_m * d + g
 
 
-def received_power_dbm(params: OpticalLinkParams, distance_m):
-    """Received optical power in dBm at a slant range (d > 0)."""
-    params.check_distance(distance_m)
-    return params.rx_dbm(distance_m)
-
-
-def sweep_received_power(params: OpticalLinkParams, d0, step, n):
-    """Received power at d0, d0+step, ... (n points)."""
-    return params.sweep(d0, step, n)
-
-
-def optical_max_range(params: OpticalLinkParams, sensitivity_dbm, tol_m=0.01):
-    """Largest range (m) still meeting the receiver sensitivity."""
-    return params.max_range(sensitivity_dbm, tol_m)
+# The link-law methods under this module's names (params passed first).
+received_power_dbm = LinkLaw.received_power_dbm
+sweep_received_power = LinkLaw.sweep
+optical_max_range = LinkLaw.max_range

@@ -12,11 +12,11 @@ repeated runs produce byte-identical files.
 """
 
 import json
+import os
 import sys
 from dataclasses import fields
 from decimal import Decimal
 from functools import cache, partial
-from importlib import resources
 from itertools import chain
 
 from .core import TECHNOLOGIES, LinkLaw, Medium, Position3D
@@ -254,9 +254,9 @@ def preset_text(name) -> str:
     """Bundled reference scenario (one of PRESET_NAMES) as JSON text."""
     if name not in PRESET_NAMES:
         raise ValidationError(f"unknown preset '{name}'; expected one of {PRESET_NAMES}")
-    return (resources.files("iout_wakeup") / "presets" / f"{name}.json").read_text(
-        encoding="utf-8"
-    )
+    path = os.path.join(os.path.dirname(__file__), "presets", f"{name}.json")
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def load_preset(name) -> SimConfig:

@@ -35,13 +35,12 @@ from .core import (
     MAX_POINTS,
     MI,
     OPTICAL,
-    PROFILES,
     TECHNOLOGIES,
     Medium,
     Position3D,
     propagation_delay,
 )
-from .energy import DEFAULT_ENERGY, EnergyProfile, WakePolicy, average_current
+from .energy import DEFAULT_ENERGY, EnergyProfile, WakePolicy, lifetime_hours
 from .errors import ConfigError, DomainError
 
 SLEEP = "sleep"
@@ -59,7 +58,8 @@ _NS = 1_000_000_000
 _PRIO_SLEEP, _PRIO_RF, _PRIO_WUS, _PRIO_REQUEST = 0, 1, 2, 3
 
 # The link law of each technology: its params class computes received
-# power (``rx_dbm``) and the shortest distance the law holds at.
+# power (``rx_dbm``) and states the shortest distance the law holds at, the
+# signal's wave speed and the reference receiver sensitivity.
 LINK_TYPES = {
     ACOUSTIC: acoustic.AcousticLinkParams,
     OPTICAL: optical.OpticalLinkParams,
@@ -118,10 +118,11 @@ class Node:
     def __post_init__(self):
         if self.technology not in TECHNOLOGIES:
             raise ConfigError(f"unknown technology: {self.technology}")
+        link_type = LINK_TYPES[self.technology]
         if self.link_params is None:
-            self.link_params = LINK_TYPES[self.technology]()
+            self.link_params = link_type()
         if self.sensitivity_dbm is None:
-            self.sensitivity_dbm = PROFILES[self.technology].default_sensitivity_dbm
+            self.sensitivity_dbm = link_type.default_sensitivity_dbm
         if self.energy is None:
             self.energy = DEFAULT_ENERGY[self.technology]
         if self.remaining_charge_mah is None:
@@ -282,6 +283,9 @@ def _validate(config: SimConfig):
         for tech in buoy.transmitters:
             if tech not in TECHNOLOGIES:
                 raise ConfigError(f"buoy {i}: unknown transmitter technology {tech}")
+        # a repeated technology would emit every broadcast twice
+        if len(set(buoy.transmitters)) < len(buoy.transmitters):
+            raise ConfigError(f"buoy {i}: repeated transmitter technology: {buoy.transmitters}")
     seen = set()
     for node in config.nodes:
         if not 0 <= node.address <= MAX_ADDRESS:
@@ -324,13 +328,12 @@ def _link_table(buoy, runtimes, technology):
     per (buoy, node), so whether the node hears the buoy is decided here:
     ``miss`` is None if it does, else the finished ``wus_arrival`` and
     failure details, shared by every arrival on that link."""
-    profile = PROFILES[technology]
     table = []
     for nrt in runtimes.values():
         node = nrt.node
         if node.technology == technology:
             dist = buoy.position.distance_to(node.position)
-            delay_ns = _to_ns(propagation_delay(profile, dist))
+            delay_ns = _to_ns(propagation_delay(node.link_params, dist))
             rx_dbm = node.link_params.rx_dbm(dist)
             miss = None
             if rx_dbm < node.sensitivity_dbm:
@@ -529,9 +532,9 @@ def simulate_lifetime(node: Node, wake_rate_per_hour, horizon_hours):
     horizon.  Returns the depletion time if the battery dies inside the
     horizon, otherwise extrapolates linearly from the consumed charge.
     """
-    # The closed form's rate rule: a rate lifetime_hours rejects raises the
-    # same PolicyError or DomainError here.
-    average_current(node.energy, WakePolicy.on_demand(wake_rate_per_hour))
+    # The closed form's rules: a rate or profile lifetime_hours rejects
+    # raises the same PolicyError or DomainError here.
+    lifetime_hours(node.energy, WakePolicy.on_demand(wake_rate_per_hour))
     # An int horizon stays an int, so one beyond the float range is
     # rejected below instead of raising OverflowError here.
     horizon_s = horizon_hours * 3600
@@ -562,5 +565,10 @@ def simulate_lifetime(node: Node, wake_rate_per_hour, horizon_hours):
     nrep = report.nodes[node.address]
     if nrep.depleted:
         return nrep.depleted_at_s / 3600.0
-    initial = node.remaining_charge_mah
-    return horizon_hours * initial / nrep.charge_consumed_mah
+    consumed = nrep.charge_consumed_mah
+    hours = horizon_hours * node.remaining_charge_mah / consumed if consumed else math.inf
+    if not hours < math.inf:  # the consumed charge underflowed to 0, or the ratio overflowed
+        raise DomainError(
+            f"lifetime from {consumed} mAh consumed in {horizon_hours} h is beyond the float range"
+        )
+    return hours

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iout_wakeup.cli import main
-from iout_wakeup.core import PROFILES, TECHNOLOGIES, Medium
+from iout_wakeup.core import TECHNOLOGIES, Medium
 from iout_wakeup.scenario import fmt6
 from iout_wakeup.sim import make_link
 
@@ -243,7 +243,8 @@ def test_grids_hold_at_most_max_points(argv, stop, rc, monkeypatch, tmp_path, ca
 def test_sweep_range_link_flags_set_their_fields(tech, argv, fields, capsys):
     rc = main(["sweep-range", "--tech", tech, *argv])
     assert rc == 0
-    expected = make_link(tech, **fields).max_range(PROFILES[tech].default_sensitivity_dbm)
+    link = make_link(tech, **fields)
+    expected = link.max_range(link.default_sensitivity_dbm)
     assert _stdout_lines(capsys)[-1] == f"max_range_m={fmt6(expected)}"
 
 
@@ -377,11 +378,13 @@ def test_simulate_empty_requests_pure_sleep_charge(tmp_path):
          "nodes[0].link: absorption beyond the float range"),
         ({"tech": "mi", "link": {"turns_tx": 10**307}}, {},
          "nodes[0].link: coil factor"),
+        ({}, {"buoys": [{"position": [0, 0, 0], "transmitters": ["acoustic", "acoustic"]}]},
+         "buoy 0: repeated transmitter technology"),
     ],
     ids=[
         "node-above-surface", "link-domain", "energy-domain", "nan-sensitivity",
         "nan-horizon", "horizon-beyond-ns", "infinite-request-time", "infinite-rf-range",
-        "absorption-overflow", "coil-factor-overflow",
+        "absorption-overflow", "coil-factor-overflow", "repeated-transmitter",
     ],
 )
 def test_simulate_invalid_scenario_exits_4(node, top, detail, tmp_path, capsys):

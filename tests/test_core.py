@@ -1,4 +1,4 @@
-"""Units, geometry, reference profiles, and the generic range solver."""
+"""Units, geometry, per-technology link constants, and the generic range solver."""
 
 import random
 
@@ -9,7 +9,6 @@ from iout_wakeup.core import (
     MI,
     NEG_INF_DBM,
     OPTICAL,
-    PROFILES,
     Medium,
     Position3D,
     dbm_to_linear,
@@ -18,6 +17,7 @@ from iout_wakeup.core import (
     solve_max_range,
 )
 from iout_wakeup.errors import DomainError, NoSolution
+from iout_wakeup.sim import LINK_TYPES, Node
 
 
 def test_dbm_definition_values():
@@ -64,30 +64,39 @@ def test_medium_validation():
 
 
 def test_profile_speeds():
-    assert PROFILES[ACOUSTIC].propagation_speed_m_s == 1500.0
-    assert PROFILES[OPTICAL].propagation_speed_m_s == 3.0e8
-    assert PROFILES[MI].propagation_speed_m_s == 3.0e8
+    # Each link class states its wave speed and reference sensitivity; a
+    # node built without a sensitivity takes its link's.
+    expected = {ACOUSTIC: (1500.0, -10.0), OPTICAL: (3.0e8, -53.0), MI: (3.0e8, -69.0)}
+    assert set(LINK_TYPES) == set(expected)
+    for tech, link_type in LINK_TYPES.items():
+        speed, sensitivity = expected[tech]
+        assert link_type().propagation_speed_m_s == speed
+        assert link_type.default_sensitivity_dbm == sensitivity
+        assert Node(1, Position3D(0.0, 0.0, 10.0), tech).sensitivity_dbm == sensitivity
 
 
 def test_propagation_delay_values():
-    assert propagation_delay(PROFILES[ACOUSTIC], 150.0) == pytest.approx(0.1, rel=1e-12)
-    assert propagation_delay(PROFILES[ACOUSTIC], 0.0) == 0.0
-    assert propagation_delay(PROFILES[OPTICAL], 90.0) == pytest.approx(3e-7, rel=1e-12)
+    assert propagation_delay(LINK_TYPES[ACOUSTIC](), 150.0) == pytest.approx(0.1, rel=1e-12)
+    assert propagation_delay(LINK_TYPES[ACOUSTIC](), 0.0) == 0.0
+    assert propagation_delay(LINK_TYPES[OPTICAL](), 90.0) == pytest.approx(3e-7, rel=1e-12)
+    # sound travels at its medium's speed
+    slow = LINK_TYPES[ACOUSTIC](medium=Medium(sound_speed_m_s=1480.0))
+    assert propagation_delay(slow, 148.0) == 148.0 / 1480.0
 
 
 def test_propagation_delay_linear_in_distance():
     rng = random.Random(11)
     for _ in range(200):
         d = rng.uniform(0.1, 5000.0)
-        profile = PROFILES[rng.choice([ACOUSTIC, OPTICAL, MI])]
-        d1 = propagation_delay(profile, d)
-        d2 = propagation_delay(profile, 2.0 * d)
+        link = LINK_TYPES[rng.choice([ACOUSTIC, OPTICAL, MI])]()
+        d1 = propagation_delay(link, d)
+        d2 = propagation_delay(link, 2.0 * d)
         assert abs(d2 - 2.0 * d1) <= 1e-12 * d2
 
 
 def test_propagation_delay_rejects_negative():
     with pytest.raises(DomainError):
-        propagation_delay(PROFILES[ACOUSTIC], -1.0)
+        propagation_delay(LINK_TYPES[ACOUSTIC](), -1.0)
 
 
 def _ramp(d):

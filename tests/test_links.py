@@ -5,6 +5,7 @@ from dataclasses import fields
 
 import pytest
 
+from iout_wakeup import acoustic, mi, optical
 from iout_wakeup.core import NEG_INF_DBM, Medium
 from iout_wakeup.errors import DomainError
 from iout_wakeup.mi import MiLinkParams
@@ -32,6 +33,30 @@ def test_distance_below_the_law_rejected(cls):
     for bad in (params.min_distance_m * 0.5, 0.0, -1.0, math.nan):
         with pytest.raises(DomainError):
             params.sweep(bad, 1.0, 3)
+        with pytest.raises(DomainError):
+            params.received_power_dbm(bad)
+
+
+@pytest.mark.parametrize(
+    "tech,rx,sweep,max_range",
+    [
+        ("acoustic", acoustic.received_power_density_dbm, acoustic.sweep_received_power,
+         acoustic.acoustic_max_range),
+        ("optical", optical.received_power_dbm, optical.sweep_received_power,
+         optical.optical_max_range),
+        ("mi", mi.received_power_dbm, mi.sweep_received_power, mi.mi_max_range),
+    ],
+    ids=["acoustic", "optical", "mi"],
+)
+def test_module_names_return_what_the_link_methods_return(tech, rx, sweep, max_range):
+    params = LINK_TYPES[tech]()
+    d0 = max(params.min_distance_m, 0.1)
+    for d in (d0, 1.0, 20.0, 44.0, 300.0):
+        assert rx(params, d) == params.received_power_dbm(d) == params.rx_dbm(d)
+    assert sweep(params, d0, 0.37, 50) == params.sweep(d0, 0.37, 50)
+    sensitivity = params.default_sensitivity_dbm
+    assert max_range(params, sensitivity) == params.max_range(sensitivity)
+    assert max_range(params, sensitivity, tol_m=1e-4) == params.max_range(sensitivity, 1e-4)
 
 
 @pytest.mark.parametrize("cls", [OpticalLinkParams, MiLinkParams], ids=lambda c: c.__name__)

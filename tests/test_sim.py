@@ -4,12 +4,14 @@ import dataclasses
 import gc
 import hashlib
 import math
+import sys
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from iout_wakeup.core import TECHNOLOGIES, Position3D
+from iout_wakeup.core import TECHNOLOGIES, Medium, Position3D
 from iout_wakeup.energy import (
     ACOUSTIC_ENERGY,
     DEFAULT_ENERGY,
@@ -30,6 +32,7 @@ from iout_wakeup.sim import (
     SimConfig,
     Uav,
     WakeRequest,
+    make_link,
     make_node,
     run,
     simulate_lifetime,
@@ -37,6 +40,7 @@ from iout_wakeup.sim import (
 
 RF_DELAY_NS = 33            # round(10 m / 3e8 * 1e9)
 ACOUSTIC_100M_NS = 66_666_667  # round(100 m / 1500 * 1e9)
+ACOUSTIC_148M_AT_1480_NS = 100_000_000  # round(148 m / 1480 * 1e9); 98_666_667 at 1500
 
 
 def _config(nodes, requests, horizon_s=100.0, rf_range=100.0, transmitters=("acoustic", "optical", "mi")):
@@ -68,6 +72,17 @@ def test_charge_conservation_identity():
     nrep = report.nodes[1]
     initial = ACOUSTIC_ENERGY.battery_capacity_mah
     assert abs(initial - nrep.remaining_charge_mah - nrep.charge_consumed_mah) < 1e-9
+
+
+def test_acoustic_signal_travels_at_its_medium_sound_speed():
+    link = make_link("acoustic", Medium(sound_speed_m_s=1480.0))
+    node = make_node("acoustic", address=1, depth_m=148.0, link_params=link)
+    report = run(_config([node], [WakeRequest(0.0, 1)]))
+    wake_ns = RF_DELAY_NS + ACOUSTIC_148M_AT_1480_NS
+    assert [(e.kind, e.time_ns) for e in report.events if e.actor == "node1"][0] == (
+        "node_wake", wake_ns
+    )
+    assert report.nodes[1].wake_latencies_s == [wake_ns / 1e9]
 
 
 def test_address_mismatch_keeps_node_asleep():
@@ -273,6 +288,14 @@ def test_config_rejects_duplicate_addresses():
         run(_config(nodes, []))
 
 
+def test_config_rejects_repeated_transmitter():
+    # a buoy listing a technology twice would emit every broadcast twice
+    node = make_node("acoustic", address=1, depth_m=100.0)
+    config = _config([node], [WakeRequest(0.0, 9)], transmitters=("acoustic", "mi", "acoustic"))
+    with pytest.raises(ConfigError, match="buoy 0: repeated transmitter technology"):
+        run(config)
+
+
 def test_config_rejects_node_above_surface():
     with pytest.raises(ConfigError):
         run(_config([make_node("acoustic", depth_m=-5.0)], []))
@@ -360,21 +383,40 @@ def test_simulate_lifetime_rejects_bad_horizons(hours):
         simulate_lifetime(make_node("acoustic"), 10.0, hours)
 
 
+# Capacities, currents and burst lengths at and near both ends of the float range.
+_EDGE_VALUES = (5e-324, 1e-310, 1e-300, 1e-9, 0.015, 1.0, 950.0, 1e300, 1e308, sys.float_info.max)
+
+
 @st.composite
-def _technology_and_rate(draw):
-    """A technology and a wake rate from both sides of its profile's rule."""
+def _profile(draw):
+    """A reference energy profile, or a valid one with values near the
+    float range's edges."""
     tech = draw(st.sampled_from(TECHNOLOGIES))
-    full = 3600.0 / DEFAULT_ENERGY[tech].active_duration_s
+    if draw(st.booleans()):
+        return tech, DEFAULT_ENERGY[tech]
+    value = st.one_of(
+        st.sampled_from(_EDGE_VALUES), st.floats(min_value=5e-324, max_value=sys.float_info.max)
+    )
+    capacity, a, b, burst = draw(value), draw(value), draw(value), draw(value)
+    assume(a != b)
+    return tech, EnergyProfile(capacity, max(a, b), min(a, b), burst)
+
+
+@st.composite
+def _profile_and_rate(draw):
+    """A profile and a wake rate from both sides of its rule."""
+    tech, profile = draw(_profile())
+    full = 3600.0 / profile.active_duration_s
     rate = draw(st.one_of(
         st.sampled_from([
             math.nan, math.inf, -math.inf, 10**400, -(10**400), -1.0, -5e-324, -0.0, 0.0,
-            5e-324, 1e-310, full, math.nextafter(full, math.inf),
+            5e-324, 1e-310, 1.0, full, math.nextafter(full, math.inf),
         ]),
         st.floats(min_value=0.0, max_value=full),
         st.floats(),
         st.integers(min_value=-(10**500), max_value=10**500),
     ))
-    return tech, rate
+    return tech, profile, rate
 
 
 def _raised(call):
@@ -385,17 +427,35 @@ def _raised(call):
     return None
 
 
-@settings(max_examples=200, deadline=None)
-@given(_technology_and_rate())
-@example(("acoustic", 10**400))
-@example(("optical", math.nan))
-@example(("mi", 5e-324))
-def test_simulate_lifetime_rejects_the_rates_the_closed_form_rejects(technology_and_rate):
-    tech, rate = technology_and_rate
-    closed = _raised(lambda: lifetime_hours(DEFAULT_ENERGY[tech], WakePolicy.on_demand(rate)))
-    simulated = _raised(lambda: simulate_lifetime(make_node(tech), rate, 0.01))
+@settings(max_examples=300, deadline=None)
+@given(_profile_and_rate())
+@example(("acoustic", ACOUSTIC_ENERGY, 10**400))
+@example(("optical", DEFAULT_ENERGY["optical"], math.nan))
+@example(("mi", DEFAULT_ENERGY["mi"], 5e-324))
+@example(("acoustic", EnergyProfile(1e308, 0.5, 0.015, 1.0), 1.0))
+@example(("acoustic", EnergyProfile(950.0, 0.5, 5e-324, 1.0), 0.0))
+@example(("acoustic", EnergyProfile(5e-324, 0.5, 5e-324, 1.0), 0.0))
+def test_simulate_lifetime_rejects_the_rates_the_closed_form_rejects(profile_and_rate):
+    tech, profile, rate = profile_and_rate
+    closed = _raised(lambda: lifetime_hours(profile, WakePolicy.on_demand(rate)))
+    # A run of up to 1000 requests keeps each example fast; more is the
+    # ConfigError this property allows.
+    with mock.patch("iout_wakeup.sim.MAX_POINTS", 1000):
+        simulated = _raised(lambda: simulate_lifetime(make_node(tech, energy=profile), rate, 0.01))
     assert closed in (None, PolicyError, DomainError)
-    assert simulated is closed
+    if closed is not None or profile is DEFAULT_ENERGY[tech]:
+        assert simulated is closed
+    else:
+        # a run may still refuse: too many requests, or a consumed charge
+        # that underflows to 0
+        assert simulated in (None, ConfigError, DomainError)
+
+
+def test_simulate_lifetime_rejects_a_consumed_charge_that_underflows():
+    # 5e-324 mA for 36 s is 0 mAh in floats, though the closed form gives 1 h
+    node = make_node("acoustic", energy=EnergyProfile(5e-324, 0.5, 5e-324, 1.0))
+    with pytest.raises(DomainError, match="0.0 mAh consumed"):
+        simulate_lifetime(node, 0.0, 0.01)
 
 
 def test_simulate_lifetime_rejects_too_many_requests(monkeypatch):
