@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from dataclasses import fields
-from decimal import Decimal
 from functools import cache, partial
 from itertools import chain
 
@@ -32,18 +31,21 @@ PRESET_NAMES = ("acoustic-fig3", "optical-fig4", "mi-fig5")
 # number formatting
 
 def fmt6(x):
-    """Plain-decimal rendering with six significant digits."""
+    """Plain-decimal rendering with six significant digits: ``f"{x:.6g}"``
+    with its exponent, if it has one, written out as zeros."""
     if isinstance(x, int):
         return str(x)
-    if x != x:
-        return "nan"
-    if x == float("inf"):
-        return "inf"
-    if x == float("-inf"):
-        return "-inf"
-    if x == 0.0:
-        return "0"
-    return format(Decimal(f"{x:.6g}"), "f")
+    text = f"{x:.6g}"
+    mantissa, _, exponent = text.partition("e")
+    if not exponent:  # inf, nan, and x that rounds to 1e-4 <= |x| < 1e6
+        return "0" if text == "-0" else text
+    sign = "-" if mantissa[0] == "-" else ""
+    digits = mantissa.lstrip("-").replace(".", "")
+    exponent = int(exponent)
+    # .6g writes an exponent only below -4 or from 6 on, past its <= 6 digits
+    if exponent < 0:
+        return f"{sign}0.{'0' * (-exponent - 1)}{digits}"
+    return sign + digits + "0" * (exponent + 1 - len(digits))
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,8 @@ MAX_ADDRESS = 0xFFFF
 
 _NS = 1_000_000_000
 # Queue priorities: sleep transitions, then arrivals (buoy RF, node WuS),
-# then fresh UAV emissions.
+# then fresh UAV emissions.  A queue entry is (time, priority, key,
+# sequence, *payload): its priority also names its kind.
 _PRIO_SLEEP, _PRIO_RF, _PRIO_WUS, _PRIO_REQUEST = 0, 1, 2, 3
 
 # The link law of each technology: its params class computes received
@@ -214,9 +215,10 @@ class SimReport:
 class _NodeRuntime:
     """Mutable per-node bookkeeping while the event loop runs."""
 
-    def __init__(self, node: Node):
+    def __init__(self, node: Node, horizon_ns):
         self.node = node
         self.actor = f"node{node.address}"
+        self.local = str(node.address)  # the ``local=`` of a mismatch detail
         self.burst_ns = _to_ns(node.energy.active_duration_s)
         self.active_ma = node.energy.active_current_ma
         self.sleep_ma = node.energy.sleep_current_ma
@@ -231,6 +233,15 @@ class _NodeRuntime:
         self.latencies_s = []
         self.failures = 0
         self.woken_by = None  # the request that last woke the node
+        # Whether the battery can run flat before the horizon.  Each charge
+        # settle() compares (active, sleep, the new interval) is at most X,
+        # the charge of a node active throughout, as float rounding is
+        # monotone: so above 4X the budget always exceeds the interval, in
+        # every float range.  A node that cannot run flat is settled only at
+        # its state changes and at the horizon: the integer totals, and so
+        # the report, are those of settling at every arrival.
+        always_active_mah = self.active_ma * (horizon_ns / _NS) / 3600.0
+        self.can_deplete = not self.initial_mah > 4.0 * always_active_mah
 
     def consumed_mah(self):
         return (
@@ -240,13 +251,14 @@ class _NodeRuntime:
 
     def settle(self, now_ns, events):
         """Charge the interval since the last settlement; split it at the
-        depletion instant if the battery runs out inside it.  The budget
-        spells out ``consumed_mah()`` (same operands, same order, same bits):
-        this runs once per signal arrival."""
+        depletion instant if the battery runs out inside it.  Returns
+        whether the battery is flat.  The budget spells out
+        ``consumed_mah()`` (same operands, same order, same bits): this runs
+        once per signal arrival at a node that can run flat."""
         delta = now_ns - self.last_ns
         if delta <= 0 or self.depleted:
             self.last_ns = max(self.last_ns, now_ns)
-            return
+            return self.depleted
         active = self.state == ACTIVE
         current = self.active_ma if active else self.sleep_ma
         budget_mah = self.initial_mah - (
@@ -255,7 +267,10 @@ class _NodeRuntime:
         )
         if current * (delta / _NS) / 3600.0 >= budget_mah:
             # the battery runs out inside the interval: credit what it lived
-            delta = int(min(delta, budget_mah * 3600.0 * _NS / current))
+            split = budget_mah * 3600.0 * _NS / current
+            if split == math.inf:  # the product overflowed, the instant may not
+                split = budget_mah / current * 3600.0 * _NS
+            delta = int(min(delta, split))
             self.depleted = True
             self.depleted_ns = self.last_ns + delta
             events.append(SimEvent(self.depleted_ns, self.actor, "node_depleted", ""))
@@ -264,11 +279,13 @@ class _NodeRuntime:
         else:
             self.sleep_ns += delta
         self.last_ns = now_ns
+        return self.depleted
 
 
 def _validate(config: SimConfig):
     if not _valid_horizon(config.horizon_s):
         raise ConfigError(f"horizon must be positive and finite in whole ns: {config.horizon_s}")
+    horizon_s = _to_ns(config.horizon_s) / _NS
     if config.uav is None:
         raise ConfigError("config needs a uav")
     if config.uav.position.z >= 0.0:
@@ -307,6 +324,12 @@ def _validate(config: SimConfig):
             raise ConfigError(
                 f"node {node.address}: initial charge {node.remaining_charge_mah} outside "
                 f"[0, {node.energy.battery_capacity_mah}]"
+            )
+        # the largest charge a run computes, in mA*s
+        if not node.energy.active_current_ma * horizon_s <= sys.float_info.max:
+            raise ConfigError(
+                f"node {node.address}: {node.energy.active_current_ma} mA over the "
+                f"{config.horizon_s} s horizon is a charge beyond the float range"
             )
         d_min = node.link_params.min_distance_m
         for i, buoy in enumerate(config.buoys):
@@ -367,7 +390,7 @@ def run(config: SimConfig) -> SimReport:
 def _run(config: SimConfig) -> SimReport:
     _validate(config)
     horizon_ns = _to_ns(config.horizon_s)
-    runtimes = {node.address: _NodeRuntime(node) for node in config.nodes}
+    runtimes = {node.address: _NodeRuntime(node, horizon_ns) for node in config.nodes}
     events = []
     failures = []
     heap = []
@@ -377,7 +400,7 @@ def _run(config: SimConfig) -> SimReport:
     for req in config.wake_requests:
         time_ns = _to_ns(req.time_s)
         if time_ns <= horizon_ns:
-            heappush(heap, (time_ns, _PRIO_REQUEST, 0, next(seq), ("request", req)))
+            heappush(heap, (time_ns, _PRIO_REQUEST, 0, next(seq), req))
 
     # The RF hop (buoy index, delay) of every buoy that hears the UAV, and
     # per (buoy index, technology) the link table, built on first emission.
@@ -389,30 +412,24 @@ def _run(config: SimConfig) -> SimReport:
     links = {}
 
     while heap:
-        t, _prio, _key, _seq, payload = heappop(heap)
-        kind = payload[0]
+        entry = heappop(heap)
+        kind = entry[1]
 
         # Signal arrivals are almost every entry, so they are tested first.
-        if kind == "wus":
-            _, addr, nrt, req, req_ns, miss = payload
+        if kind == _PRIO_WUS:
+            t, _, addr, _, nrt, req, req_ns, miss, texts = entry
             actor = nrt.actor
-            nrt.settle(t, events)
-            if nrt.depleted:
+            if nrt.can_deplete and nrt.settle(t, events):
                 events.append(SimEvent(t, actor, "wus_arrival", "depleted"))
-                failures.append(FailureRecord(t, DEPLETED, actor, f"target={req.target_address}"))
+                failures.append(FailureRecord(t, DEPLETED, actor, texts[0]))
                 nrt.failures += 1
             elif miss is not None:
                 events.append(SimEvent(t, actor, "wus_arrival", miss[0]))
                 failures.append(FailureRecord(t, OUT_OF_RANGE, actor, miss[1]))
                 nrt.failures += 1
             elif req.target_address != addr:
-                target = req.target_address
-                events.append(
-                    SimEvent(t, actor, "wus_arrival", f"address_mismatch target={target}")
-                )
-                failures.append(
-                    FailureRecord(t, ADDRESS_MISMATCH, actor, f"target={target} local={addr}")
-                )
+                events.append(SimEvent(t, actor, "wus_arrival", texts[1]))
+                failures.append(FailureRecord(t, ADDRESS_MISMATCH, actor, texts[2] + nrt.local))
                 nrt.failures += 1
             elif nrt.state == ACTIVE:
                 # Fig-2-style interrupt targets a sleeping controller; an
@@ -423,6 +440,8 @@ def _run(config: SimConfig) -> SimReport:
                 # node, arriving after its burst: one request, one wake.
                 events.append(SimEvent(t, actor, "wus_arrival", "duplicate_request"))
             else:
+                if not nrt.can_deplete:
+                    nrt.settle(t, events)
                 latency_s = (t - req_ns) / _NS
                 nrt.state = ACTIVE
                 nrt.woken_by = req
@@ -431,20 +450,19 @@ def _run(config: SimConfig) -> SimReport:
                 events.append(SimEvent(t, actor, "node_wake", f"latency_s={latency_s:.9f}"))
                 time_ns = t + nrt.burst_ns
                 if time_ns <= horizon_ns:
-                    heappush(heap, (time_ns, _PRIO_SLEEP, addr, next(seq), ("sleep", nrt)))
+                    heappush(heap, (time_ns, _PRIO_SLEEP, addr, next(seq), nrt))
 
-        elif kind == "sleep":
-            nrt = payload[1]
-            nrt.settle(t, events)
-            if not nrt.depleted and nrt.state == ACTIVE:
+        elif kind == _PRIO_SLEEP:
+            t, nrt = entry[0], entry[4]
+            if not nrt.settle(t, events) and nrt.state == ACTIVE:
                 nrt.state = SLEEP
                 events.append(SimEvent(t, nrt.actor, "node_sleep", ""))
 
-        elif kind == "rf":
-            bidx, req, req_ns = payload[1], payload[2], payload[3]
+        elif kind == _PRIO_RF:
+            t, _, bidx, _, req, req_ns, texts = entry
             buoy = config.buoys[bidx]
             actor = f"buoy{bidx}"
-            events.append(SimEvent(t, actor, "rf_arrival", f"target={req.target_address}"))
+            events.append(SimEvent(t, actor, "rf_arrival", texts[0]))
             target = runtimes.get(req.target_address)
             if target is not None:
                 tech = target.node.technology
@@ -459,25 +477,29 @@ def _run(config: SimConfig) -> SimReport:
                 # the per-node address filters sort it out.
                 techs = tuple(buoy.transmitters)
             for tech in techs:
-                events.append(
-                    SimEvent(t, actor, "wus_emit", f"tech={tech} target={req.target_address}")
-                )
+                events.append(SimEvent(t, actor, "wus_emit", f"tech={tech} {texts[0]}"))
                 table = links.get((bidx, tech))
                 if table is None:
                     table = links[bidx, tech] = _link_table(buoy, runtimes, tech)
                 for delay_ns, addr, nrt, miss in table:
                     time_ns = t + delay_ns
                     if time_ns <= horizon_ns:
-                        entry = ("wus", addr, nrt, req, req_ns, miss)
-                        heappush(heap, (time_ns, _PRIO_WUS, addr, next(seq), entry))
+                        heappush(
+                            heap,
+                            (time_ns, _PRIO_WUS, addr, next(seq), nrt, req, req_ns, miss, texts),
+                        )
 
-        else:  # "request"
-            req = payload[1]
-            events.append(SimEvent(t, "uav", "wake_request", f"target={req.target_address}"))
+        else:  # a request
+            t, req = entry[0], entry[4]
+            # The details every arrival of this request logs, rendered once:
+            # the target, the mismatch outcome and a mismatch failure's prefix.
+            target_text = f"target={req.target_address}"
+            texts = (target_text, "address_mismatch " + target_text, target_text + " local=")
+            events.append(SimEvent(t, "uav", "wake_request", target_text))
             for bidx, delay_ns in hops:
                 time_ns = t + delay_ns
                 if time_ns <= horizon_ns:
-                    heappush(heap, (time_ns, _PRIO_RF, bidx, next(seq), ("rf", bidx, req, t)))
+                    heappush(heap, (time_ns, _PRIO_RF, bidx, next(seq), req, t, texts))
             if not hops:
                 failures.append(FailureRecord(t, OUT_OF_RANGE, "uav", "no buoy within rf range"))
 

@@ -1,0 +1,348 @@
+"""The simulator against two oracles: a deliberately naive reference
+engine, and the closed-form lifetime of the on-demand policy."""
+
+import itertools
+import math
+import os
+import sys
+
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from iout_wakeup.core import LIGHT_SPEED_M_S, TECHNOLOGIES, Position3D, propagation_delay
+from iout_wakeup.energy import (
+    DEFAULT_ENERGY,
+    EnergyProfile,
+    WakePolicy,
+    average_current,
+    lifetime_hours,
+)
+from iout_wakeup.errors import ConfigError, DomainError, PolicyError
+from iout_wakeup.sim import (
+    ACTIVE,
+    ADDRESS_MISMATCH,
+    DEPLETED,
+    OUT_OF_RANGE,
+    SLEEP,
+    Buoy,
+    FailureRecord,
+    Node,
+    NodeReport,
+    SimConfig,
+    SimEvent,
+    Uav,
+    WakeRequest,
+    make_node,
+    run,
+    simulate_lifetime,
+)
+
+# Multiplies the example count of the two properties below (and nothing
+# else), so one CI leg can search longer; 1 when unset.
+SCALE = int(os.environ.get("IOUT_ORACLE_EXAMPLES_SCALE", "1"))
+
+NS = 1_000_000_000
+
+
+def _ns(seconds):
+    ns = seconds * NS
+    return int(round(ns)) if ns <= sys.float_info.max else math.inf
+
+
+# ---------------------------------------------------------------------------
+# reference engine: a plain list as the queue, every link re-derived at
+# every arrival, and the arriving node settled at every arrival and every
+# state change
+
+class _RefNode:
+    def __init__(self, node):
+        self.node, self.actor = node, f"node{node.address}"
+        self.state, self.woken_by = SLEEP, None
+        self.last = self.active = self.sleep = self.wakes = self.failures = 0
+        self.depleted_ns, self.latencies = None, []
+
+    def consumed(self):
+        e = self.node.energy
+        return (e.active_current_ma * (self.active / NS) / 3600.0
+                + e.sleep_current_ma * (self.sleep / NS) / 3600.0)
+
+    def settle(self, now, events):
+        delta = now - self.last
+        if delta <= 0 or self.depleted_ns is not None:
+            self.last = max(self.last, now)
+            return
+        e = self.node.energy
+        current = e.active_current_ma if self.state == ACTIVE else e.sleep_current_ma
+        budget = self.node.remaining_charge_mah - self.consumed()
+        if current * (delta / NS) / 3600.0 >= budget:
+            split = budget * 3600.0 * NS / current
+            if split == math.inf:
+                split = budget / current * 3600.0 * NS
+            delta = int(min(delta, split))
+            self.depleted_ns = self.last + delta
+            events.append(SimEvent(self.depleted_ns, self.actor, "node_depleted", ""))
+        if self.state == ACTIVE:
+            self.active += delta
+        else:
+            self.sleep += delta
+        self.last = now
+
+
+def reference_run(config):
+    """(events, failures, nodes) of a valid config, as ``sim.run`` documents them."""
+    horizon = _ns(config.horizon_s)
+    refs = {node.address: _RefNode(node) for node in config.nodes}
+    events, failures, pending, seq = [], [], [], itertools.count()
+
+    def push(time, prio, key, entry):  # the documented queue order
+        pending.append((time, prio, key, next(seq), entry))
+
+    def fail(time, reason, actor, detail):
+        failures.append(FailureRecord(time, reason, actor, detail))
+
+    for req in config.wake_requests:
+        push(_ns(req.time_s), 3, 0, ("request", req))
+    while pending:
+        item = min(pending)
+        pending.remove(item)
+        t, entry = item[0], item[4]
+        if t > horizon:
+            break
+        if entry[0] == "request":
+            req = entry[1]
+            events.append(SimEvent(t, "uav", "wake_request", f"target={req.target_address}"))
+            uav = config.uav.position
+            relays = [i for i, b in enumerate(config.buoys) if b.rf_wakeup_enabled
+                      and uav.distance_to(b.position) <= config.uav.rf_range_m]
+            for i in relays:
+                hop = uav.distance_to(config.buoys[i].position) / LIGHT_SPEED_M_S
+                push(t + _ns(hop), 1, i, ("rf", i, req, t))
+            if not relays:
+                fail(t, OUT_OF_RANGE, "uav", "no buoy within rf range")
+        elif entry[0] == "rf":
+            _, i, req, req_t = entry
+            buoy, actor, target = config.buoys[i], f"buoy{i}", req.target_address
+            events.append(SimEvent(t, actor, "rf_arrival", f"target={target}"))
+            techs = buoy.transmitters
+            if target in refs:
+                tech = refs[target].node.technology
+                techs = (tech,) if tech in buoy.transmitters else ()
+                if not techs:
+                    fail(t, OUT_OF_RANGE, actor, f"no {tech} transmitter for target {target}")
+            for tech in techs:
+                events.append(SimEvent(t, actor, "wus_emit", f"tech={tech} target={target}"))
+                for ref in refs.values():
+                    if ref.node.technology == tech:
+                        dist = buoy.position.distance_to(ref.node.position)
+                        delay = _ns(propagation_delay(ref.node.link_params, dist))
+                        push(t + delay, 2, ref.node.address, ("wus", i, ref, req, req_t))
+        elif entry[0] == "wus":
+            _, i, ref, req, req_t = entry
+            node, target = ref.node, req.target_address
+            ref.settle(t, events)
+            rx = node.link_params.rx_dbm(config.buoys[i].position.distance_to(node.position))
+            outcome = failure = None
+            if ref.depleted_ns is not None:
+                outcome, failure = "depleted", (DEPLETED, f"target={target}")
+            elif rx < node.sensitivity_dbm:
+                outcome = f"below_sensitivity rx_dbm={rx:.3f}"
+                failure = (OUT_OF_RANGE,
+                           f"rx {rx:.3f} dBm below sensitivity {node.sensitivity_dbm:.3f} dBm")
+            elif target != node.address:
+                outcome = f"address_mismatch target={target}"
+                failure = (ADDRESS_MISMATCH, f"target={target} local={node.address}")
+            elif ref.state == ACTIVE:
+                outcome = "ignored_active"
+            elif ref.woken_by is req:
+                outcome = "duplicate_request"
+            if outcome is not None:
+                events.append(SimEvent(t, ref.actor, "wus_arrival", outcome))
+                if failure is not None:
+                    fail(t, failure[0], ref.actor, failure[1])
+                    ref.failures += 1
+            else:
+                latency = (t - req_t) / NS
+                ref.state, ref.woken_by = ACTIVE, req
+                ref.wakes += 1
+                ref.latencies.append(latency)
+                events.append(SimEvent(t, ref.actor, "node_wake", f"latency_s={latency:.9f}"))
+                push(t + _ns(node.energy.active_duration_s), 0, node.address, ("sleep", ref))
+        else:  # sleep
+            ref = entry[1]
+            ref.settle(t, events)
+            if ref.depleted_ns is None and ref.state == ACTIVE:
+                ref.state = SLEEP
+                events.append(SimEvent(t, ref.actor, "node_sleep", ""))
+    for ref in refs.values():
+        ref.settle(horizon, events)
+    events.sort(key=lambda e: e.time_ns)
+    nodes = {}
+    for addr in sorted(refs):
+        ref = refs[addr]
+        consumed = ref.consumed()
+        nodes[addr] = NodeReport(
+            address=addr, wakes=ref.wakes, wake_latencies_s=ref.latencies,
+            charge_consumed_mah=consumed,
+            remaining_charge_mah=max(ref.node.remaining_charge_mah - consumed, 0.0),
+            failures=ref.failures, depleted=ref.depleted_ns is not None,
+            depleted_at_s=None if ref.depleted_ns is None else ref.depleted_ns / NS,
+            final_state=ref.state,
+        )
+    return events, failures, nodes
+
+
+# ---------------------------------------------------------------------------
+# random small configs
+
+def _ulps(x, steps):
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.inf if steps > 0 else 0.0)
+    return x
+
+
+@st.composite
+def _charge(draw, active_ma, horizon_s):
+    """An initial charge on either side of, or a few ulps from, a small
+    multiple of the charge the node would draw if active throughout."""
+    always_active = active_ma * horizon_s / 3600.0
+    scale = draw(st.sampled_from([0.001, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 4.0, 8.0, 1e6]))
+    return _ulps(always_active * scale, draw(st.integers(-3, 3)))
+
+
+@st.composite
+def _node(draw, address, horizon_s):
+    tech = draw(st.sampled_from(TECHNOLOGIES))
+    x, y = draw(st.sampled_from([(0.0, 0.0), (20.0, 30.0), (20.0, -30.0), (150.0, 0.0)]))
+    depth = draw(st.one_of(st.sampled_from([2.0, 10.0, 50.0, 250.0]), st.floats(2.0, 300.0)))
+    profile = DEFAULT_ENERGY[tech]
+    burst = draw(st.sampled_from([profile.active_duration_s, 0.05, 0.3, 3.0]))
+    charge = draw(st.one_of(st.just(profile.battery_capacity_mah),
+                            _charge(profile.active_current_ma, horizon_s)))
+    capacity = draw(st.sampled_from([charge, profile.battery_capacity_mah])) or 1.0
+    capacity = max(capacity, charge)
+    energy = EnergyProfile(capacity, profile.active_current_ma, profile.sleep_current_ma, burst)
+    sensitivity = draw(st.sampled_from([None, None, -120.0, -20.0]))
+    return Node(address, Position3D(x, y, depth), tech, sensitivity_dbm=sensitivity,
+                energy=energy, remaining_charge_mah=charge)
+
+
+@st.composite
+def _config(draw):
+    horizon_s = draw(st.sampled_from([0.3, 2.0, 5.0, 20.0]))
+    buoys = []
+    for _ in range(draw(st.integers(1, 3))):
+        transmitters = draw(st.permutations(TECHNOLOGIES))[:draw(st.sampled_from([0, 1, 2, 3, 3]))]
+        buoys.append(Buoy(
+            Position3D(draw(st.sampled_from([0.0, 40.0, 200.0])), 0.0, 0.0),
+            transmitters=tuple(transmitters),
+            rf_wakeup_enabled=draw(st.sampled_from([True, True, False])),
+        ))
+    addresses = draw(st.lists(st.integers(0, 15), min_size=1, max_size=12, unique=True))
+    nodes = [draw(_node(address, horizon_s)) for address in addresses]
+    targets = st.sampled_from(addresses + addresses + [7, 999, 65535])
+    times = st.sampled_from([0.0, 0.0, 0.2, 0.5, 1.0, 1.02, 4.0, 19.9, 25.0])
+    requests = [WakeRequest(draw(times), draw(targets)) for _ in range(draw(st.integers(0, 12)))]
+    rf_range_m = draw(st.sampled_from([5.0, 50.0, 300.0, 300.0]))
+    uav = Uav(Position3D(20.0, 0.0, -10.0), rf_range_m=rf_range_m)
+    return SimConfig(uav=uav, buoys=buoys, nodes=nodes, wake_requests=requests,
+                     horizon_s=horizon_s)
+
+
+def _flat_while_woken():
+    """A node with half the charge of 2 s of activity, woken at once for a
+    3 s burst: it runs flat at ~1 s and then hears a broadcast."""
+    charge = 0.5 * DEFAULT_ENERGY["acoustic"].active_current_ma * 2.0 / 3600.0
+    energy = EnergyProfile(950.0, 0.5, 0.015, 3.0)
+    return SimConfig(
+        uav=Uav(Position3D(0.0, 0.0, -10.0), rf_range_m=100.0),
+        buoys=[Buoy(Position3D(0.0, 0.0, 0.0))],
+        nodes=[Node(1, Position3D(0.0, 0.0, 10.0), "acoustic", energy=energy,
+                    remaining_charge_mah=charge)],
+        wake_requests=[WakeRequest(0.0, 1), WakeRequest(1.5, 999)],
+        horizon_s=2.0,
+    )
+
+
+@settings(max_examples=200 * SCALE, deadline=None)
+@given(_config())
+@example(_flat_while_woken())
+def test_engine_matches_the_reference_engine(config):
+    report = run(config)
+    events, failures, nodes = reference_run(config)
+    assert report.events == events
+    assert report.failures == failures
+    assert report.nodes == nodes
+
+
+# ---------------------------------------------------------------------------
+# simulated lifetime against the closed form
+
+_VALUES = st.one_of(
+    st.sampled_from([5e-324, 1e-9, 0.015, 0.1234567896, 1.0, 950.0, 1e300]),
+    st.floats(min_value=5e-324, max_value=sys.float_info.max),
+)
+
+
+@st.composite
+def _lifetime_case(draw):
+    """A technology, a valid profile, an on-demand rate up to one burst per
+    burst length, and a horizon short enough for at most 1000 requests."""
+    tech = draw(st.sampled_from(TECHNOLOGIES))
+    profile = DEFAULT_ENERGY[tech]
+    if draw(st.booleans()):
+        capacity, a, b, burst = (draw(_VALUES) for _ in range(4))
+        assume(a != b)
+        profile = EnergyProfile(capacity, max(a, b), min(a, b), burst)
+    full = 3600.0 / profile.active_duration_s
+    rate = draw(st.one_of(st.sampled_from([0.0, 1.0, full]), st.floats(0.0, full)))
+    hours = draw(st.floats(1e-12, 10.0))
+    if rate > 0.0:
+        hours = min(hours, 1000.0 / rate)
+    return tech, profile, rate, hours
+
+
+@settings(max_examples=200 * SCALE, deadline=None)
+@given(_lifetime_case())
+@example(("acoustic", DEFAULT_ENERGY["acoustic"], 1200.0, 0.8))
+@example(("optical", EnergyProfile(0.5, 3.6, 0.083, 1.0), 1200.0, 0.8))  # flat at ~0.4 h
+@example(("optical", DEFAULT_ENERGY["optical"], 3600.0, 0.25))
+@example(("mi", DEFAULT_ENERGY["mi"], 0.0, 10.0))
+# bursts of 123456789.6 ns: some requests come 1 ns less than a burst apart
+@example(("acoustic", EnergyProfile(950.0, 0.5, 0.015, 0.1234567896), 3600 / 0.1234567896, 0.05))
+# no request inside a 3.6 ns horizon, though the closed form's average
+# current is mostly active current
+@example(("acoustic", EnergyProfile(1.0, 2.195176211877374e214, 2.008446576016543e-113, 5e-324),
+          1.0, 1e-12))
+def test_simulated_lifetime_matches_the_closed_form(case):
+    tech, profile, rate, hours = case
+    node = make_node(tech, energy=profile)
+    try:
+        policy = WakePolicy.on_demand(rate)
+        expected = lifetime_hours(profile, policy)
+        simulated = simulate_lifetime(node, rate, hours)
+    except (ConfigError, DomainError, PolicyError):  # test_sim.py tests which inputs raise
+        assume(False)
+    a, s, burst = profile.active_current_ma, profile.sleep_current_ma, profile.active_duration_s
+    # The run's request grid, as simulate_lifetime lays it out.
+    count = close = 0
+    if rate > 0.0:
+        interval = 3600.0 / rate
+        count = max(0, int(math.floor((hours * 3600 - 1e-6) / interval)) + 1)
+        grid = [_ns(k * interval if k else 0.0) for k in range(count)]
+        # a request less than a burst after the previous one can find the
+        # node still active, and is then ignored
+        burst_ns = _ns(burst)
+        close = sum(later - earlier < burst_ns for earlier, later in zip(grid, grid[1:]))
+    # Active seconds the run may differ by from rate * horizon * burst: the
+    # whole-request count and the truncated last burst (one burst each),
+    # requests still in flight at the horizon, ignored requests, and the
+    # nanosecond rounding of each burst.
+    latency = 10.0 / LIGHT_SPEED_M_S + propagation_delay(node.link_params, 10.0) + 1e-6
+    active_s = burst * (2 + close + rate * latency / 3600.0) + count * 1e-9
+    # As charge (mAh), plus the absolute error of a sum of a few rounded
+    # charges, which dominates when they are subnormal; as hours at the
+    # average current, plus the horizon and a depletion instant rounded to
+    # whole nanoseconds.
+    charge = (a - s) * active_s / 3600.0 + 1e-322
+    bound = charge / average_current(profile, policy) + 2e-9 / 3600.0
+    assert abs(simulated - expected) <= bound * max(1.0, simulated / hours) + 1e-9 * expected

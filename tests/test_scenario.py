@@ -1,6 +1,9 @@
 """Scenario parsing, validation, serialization round trips, presets, CSV."""
 
 import json
+import math
+import sys
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -144,6 +147,34 @@ def test_fmt6_plain_decimal():
     assert fmt6(float("-inf")) == "-inf"
     assert fmt6(7) == "7"
     assert "e" not in fmt6(1.5e8).lower()
+
+
+def _fmt6_decimal(x):
+    """fmt6 as it was first written, through ``Decimal``."""
+    if isinstance(x, int):
+        return str(x)
+    if x != x:
+        return "nan"
+    if x in (math.inf, -math.inf):
+        return "inf" if x > 0 else "-inf"
+    if x == 0.0:
+        return "0"
+    return format(Decimal(f"{x:.6g}"), "f")
+
+
+@pytest.mark.parametrize(
+    "x",
+    [-0.0, 0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max, 1e-05, 9.999995e-05,
+     0.0001, 999999.5, 999999.4, 1e16, -1.5e8, math.inf, -math.inf, math.nan, 7, -(10**30)],
+)
+def test_fmt6_edge_values_match_decimal(x):
+    assert fmt6(x) == _fmt6_decimal(x)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_fmt6_matches_decimal_on_every_finite_float(x):
+    assert fmt6(x) == _fmt6_decimal(x)
 
 
 # Valid documents the mutation property starts from: the presets, the

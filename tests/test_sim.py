@@ -158,11 +158,21 @@ def test_times_beyond_the_float_range_are_never_queued():
 
 
 def test_depletion_split_beyond_the_float_range():
-    # the depletion instant in ns overflows a float; the node still dies
+    # charge * 3600 * 1e9 overflows a float, the depletion instant does not:
+    # 1e300 mAh at 1e300 mA lasts 3600 s from the wake
     energy = EnergyProfile(1e300, 1e300, 1.0, 1e5)
     node = make_node("acoustic", address=1, depth_m=100.0, energy=energy)
     report = run(_config([node], [WakeRequest(0.0, 1)], horizon_s=1e5))
     assert report.nodes[1].depleted
+    assert report.nodes[1].depleted_at_s == (RF_DELAY_NS + ACOUSTIC_100M_NS) / 1e9 + 3600.0
+
+
+def test_config_rejects_a_charge_beyond_the_float_range():
+    # 1e305 mA for 1e5 s is 1e310 mA*s: the run could not account for it
+    energy = EnergyProfile(1e300, 1e305, 1.0, 1.0)
+    node = make_node("acoustic", address=1, depth_m=100.0, energy=energy)
+    with pytest.raises(ConfigError, match="charge beyond the float range"):
+        run(_config([node], [WakeRequest(0.0, 1)], horizon_s=1e5))
 
 
 def test_wus_at_active_node_is_ignored():
