@@ -103,11 +103,9 @@ def _build_parser():
         f"WATER_TYPE is one of {', '.join(w.value for w in WaterType)}",
     )
     types = {**_MEDIUM_FIELDS, **{k: v for t in TECHNOLOGIES for k, v in link_fields(t).items()}}
-    water = link.add_mutually_exclusive_group()
     for flag, name in _LINK_FLAGS.items():
-        group = water if name in ("water_type", "extinction_per_m") else link
         kind = _finite_float if types[name] is float else types[name]
-        group.add_argument(flag, dest=name, type=kind, metavar=name.upper())
+        link.add_argument(flag, dest=name, type=kind, metavar=name.upper())
 
     life = sub.add_parser("lifetime", help="lifetime vs transmissions per hour")
     life.add_argument("--tech", required=True, choices=TECHNOLOGIES)

@@ -120,9 +120,9 @@ class LinkLaw:
     """
 
     def check_distance(self, distance_m):
-        if not (distance_m >= self.min_distance_m and distance_m > 0.0):
+        if not (distance_m >= self.min_distance_m and 0.0 < distance_m < math.inf):
             raise DomainError(
-                f"distance must be positive and at least {self.min_distance_m} m: "
+                f"distance must be positive, finite and at least {self.min_distance_m} m: "
                 f"{distance_m} m"
             )
 
@@ -132,8 +132,13 @@ class LinkLaw:
         return self.rx_dbm(distance_m)
 
     def sweep(self, d0, step, n):
-        """Received power at d0, d0+step, ... (n points)."""
+        """Received power at d0, d0+step, ... (n points).  The step must be
+        finite and non-negative, so checking the first and last points
+        checks them all."""
+        if not 0.0 <= step < math.inf:
+            raise DomainError(f"sweep step must be finite and non-negative: {step} m")
         self.check_distance(d0)
+        self.check_distance(d0 + max(n - 1, 0) * step)
         rx_dbm = self.rx_dbm
         return [rx_dbm(d0 + i * step) for i in range(n)]
 

@@ -47,7 +47,11 @@ _EXTINCTION_PER_M = {
 
 def extinction_coefficient(water: WaterType):
     """Beam extinction coefficient in 1/m for a water turbidity class."""
-    return _EXTINCTION_PER_M[WaterType(water)]
+    try:
+        return _EXTINCTION_PER_M[WaterType(water)]
+    except ValueError:
+        valid = ", ".join(w.value for w in WaterType)
+        raise DomainError(f"unknown water type {water!r}: expected one of {valid}") from None
 
 
 @dataclass(frozen=True)

@@ -252,19 +252,14 @@ class _NodeRuntime:
     def settle(self, now_ns, events):
         """Charge the interval since the last settlement; split it at the
         depletion instant if the battery runs out inside it.  Returns
-        whether the battery is flat.  The budget spells out
-        ``consumed_mah()`` (same operands, same order, same bits): this runs
-        once per signal arrival at a node that can run flat."""
+        whether the battery is flat."""
         delta = now_ns - self.last_ns
         if delta <= 0 or self.depleted:
             self.last_ns = max(self.last_ns, now_ns)
             return self.depleted
         active = self.state == ACTIVE
         current = self.active_ma if active else self.sleep_ma
-        budget_mah = self.initial_mah - (
-            self.active_ma * (self.active_ns / _NS) / 3600.0
-            + self.sleep_ma * (self.sleep_ns / _NS) / 3600.0
-        )
+        budget_mah = self.initial_mah - self.consumed_mah()
         if current * (delta / _NS) / 3600.0 >= budget_mah:
             # the battery runs out inside the interval: credit what it lived
             split = budget_mah * 3600.0 * _NS / current
@@ -395,23 +390,19 @@ def _run(config: SimConfig) -> SimReport:
     failures = []
     heap = []
     seq = itertools.count()
-    # Queue entries past the horizon would never be popped (inf ones
-    # included), so none is pushed.
     for req in config.wake_requests:
-        time_ns = _to_ns(req.time_s)
-        if time_ns <= horizon_ns:
-            heappush(heap, (time_ns, _PRIO_REQUEST, 0, next(seq), req))
+        heappush(heap, (_to_ns(req.time_s), _PRIO_REQUEST, 0, next(seq), req))
 
-    # The RF hop (buoy index, delay) of every buoy that hears the UAV, and
-    # per (buoy index, technology) the link table, built on first emission.
+    # The RF hop of every buoy that hears the UAV: its index, delay, actor
+    # and, per equipped technology in transmitter order, its link table.
     hops = []
     for bidx, buoy in enumerate(config.buoys):
         dist = config.uav.position.distance_to(buoy.position)
         if buoy.rf_wakeup_enabled and dist <= config.uav.rf_range_m:
-            hops.append((bidx, _to_ns(dist / LIGHT_SPEED_M_S)))
-    links = {}
+            tables = {tech: _link_table(buoy, runtimes, tech) for tech in buoy.transmitters}
+            hops.append((bidx, _to_ns(dist / LIGHT_SPEED_M_S), f"buoy{bidx}", tables))
 
-    while heap:
+    while heap and heap[0][0] <= horizon_ns:  # nothing past the horizon (or inf) runs
         entry = heappop(heap)
         kind = entry[1]
 
@@ -448,9 +439,7 @@ def _run(config: SimConfig) -> SimReport:
                 nrt.wakes += 1
                 nrt.latencies_s.append(latency_s)
                 events.append(SimEvent(t, actor, "node_wake", f"latency_s={latency_s:.9f}"))
-                time_ns = t + nrt.burst_ns
-                if time_ns <= horizon_ns:
-                    heappush(heap, (time_ns, _PRIO_SLEEP, addr, next(seq), nrt))
+                heappush(heap, (t + nrt.burst_ns, _PRIO_SLEEP, addr, next(seq), nrt))
 
         elif kind == _PRIO_SLEEP:
             t, nrt = entry[0], entry[4]
@@ -459,35 +448,26 @@ def _run(config: SimConfig) -> SimReport:
                 events.append(SimEvent(t, nrt.actor, "node_sleep", ""))
 
         elif kind == _PRIO_RF:
-            t, _, bidx, _, req, req_ns, texts = entry
-            buoy = config.buoys[bidx]
-            actor = f"buoy{bidx}"
+            t, _, _, _, actor, tables, req, req_ns, texts = entry
             events.append(SimEvent(t, actor, "rf_arrival", texts[0]))
             target = runtimes.get(req.target_address)
             if target is not None:
                 tech = target.node.technology
-                if tech in buoy.transmitters:
-                    techs = (tech,)
-                else:
-                    techs = ()
+                techs = (tech,) if tech in tables else ()
+                if not techs:
                     detail = f"no {tech} transmitter for target {req.target_address}"
                     failures.append(FailureRecord(t, OUT_OF_RANGE, actor, detail))
             else:
                 # Unknown address: broadcast on everything equipped and let
                 # the per-node address filters sort it out.
-                techs = tuple(buoy.transmitters)
+                techs = tables
             for tech in techs:
                 events.append(SimEvent(t, actor, "wus_emit", f"tech={tech} {texts[0]}"))
-                table = links.get((bidx, tech))
-                if table is None:
-                    table = links[bidx, tech] = _link_table(buoy, runtimes, tech)
-                for delay_ns, addr, nrt, miss in table:
-                    time_ns = t + delay_ns
-                    if time_ns <= horizon_ns:
-                        heappush(
-                            heap,
-                            (time_ns, _PRIO_WUS, addr, next(seq), nrt, req, req_ns, miss, texts),
-                        )
+                for delay_ns, addr, nrt, miss in tables[tech]:
+                    heappush(
+                        heap,
+                        (t + delay_ns, _PRIO_WUS, addr, next(seq), nrt, req, req_ns, miss, texts),
+                    )
 
         else:  # a request
             t, req = entry[0], entry[4]
@@ -496,10 +476,9 @@ def _run(config: SimConfig) -> SimReport:
             target_text = f"target={req.target_address}"
             texts = (target_text, "address_mismatch " + target_text, target_text + " local=")
             events.append(SimEvent(t, "uav", "wake_request", target_text))
-            for bidx, delay_ns in hops:
-                time_ns = t + delay_ns
-                if time_ns <= horizon_ns:
-                    heappush(heap, (time_ns, _PRIO_RF, bidx, next(seq), req, t, texts))
+            for bidx, delay_ns, actor, tables in hops:
+                rf = (t + delay_ns, _PRIO_RF, bidx, next(seq), actor, tables, req, t, texts)
+                heappush(heap, rf)
             if not hops:
                 failures.append(FailureRecord(t, OUT_OF_RANGE, "uav", "no buoy within rf range"))
 
@@ -520,7 +499,7 @@ def _run(config: SimConfig) -> SimReport:
         node_reports[addr] = NodeReport(
             address=addr,
             wakes=nrt.wakes,
-            wake_latencies_s=list(nrt.latencies_s),
+            wake_latencies_s=nrt.latencies_s,
             charge_consumed_mah=consumed,
             remaining_charge_mah=remaining,
             failures=nrt.failures,
@@ -550,9 +529,10 @@ def simulate_lifetime(node: Node, wake_rate_per_hour, horizon_hours):
     """Event-driven lifetime in hours for a node woken at a constant rate.
 
     Places a buoy straight above the node and a UAV 10 m over the buoy,
-    schedules one matched request per 3600/rate seconds, and runs to the
-    horizon.  Returns the depletion time if the battery dies inside the
-    horizon, otherwise extrapolates linearly from the consumed charge.
+    schedules one matched request per 3600/rate seconds (rounded to whole
+    nanoseconds), and runs to the horizon.  Returns the depletion time if
+    the battery dies inside the horizon, otherwise extrapolates linearly
+    from the consumed charge.
     """
     # The closed form's rules: a rate or profile lifetime_hours rejects
     # raises the same PolicyError or DomainError here.
@@ -566,16 +546,17 @@ def simulate_lifetime(node: Node, wake_rate_per_hour, horizon_hours):
         )
     requests = []
     if wake_rate_per_hour > 0.0:
-        interval_s = 3600.0 / wake_rate_per_hour
-        last = (horizon_s - 1e-6) / interval_s  # index of the last request
-        if not last < MAX_POINTS:
+        # Whole-ns instants k * interval, so no two requests come closer than
+        # the rate says; an interval past the horizon asks once, at t = 0.
+        horizon_ns = _to_ns(horizon_s)
+        interval_ns = min(max(_to_ns(3600.0 / wake_rate_per_hour), 1), horizon_ns)
+        count = -(-horizon_ns // interval_ns)
+        if count > MAX_POINTS:
             raise ConfigError(
                 f"{wake_rate_per_hour} wakes/h over {horizon_hours} h "
                 f"is more than {MAX_POINTS} requests"
             )
-        count = int(math.floor(last)) + 1
-        # 0 * inf is NaN: a rate whose 3600/rate overflows asks once, at t = 0
-        requests = [WakeRequest(k * interval_s if k else 0.0, node.address) for k in range(count)]
+        requests = [WakeRequest(k * interval_ns / _NS, node.address) for k in range(count)]
     config = SimConfig(
         uav=Uav(Position3D(node.position.x, node.position.y, -10.0), rf_range_m=100.0),
         buoys=[Buoy(Position3D(node.position.x, node.position.y, 0.0))],

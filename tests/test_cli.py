@@ -124,6 +124,7 @@ def _assert_one_error_line(rc, capsys):
     assert len(lines) == 1
     assert ERROR_LINE.match(lines[0])
     assert captured.out == ""
+    return lines[0]
 
 
 @settings(max_examples=150, deadline=None)
@@ -192,7 +193,9 @@ def test_results_beyond_the_float_range_exit_2(argv, capsys):
 def test_sweep_range_rejected_flags_exit_2(argv, capsys):
     rc = main(["sweep-range", *argv])
     assert rc == 2
-    _assert_one_error_line(rc, capsys)
+    line = _assert_one_error_line(rc, capsys)
+    if "--water" in argv and "--extinction-per-m" in argv:
+        assert line.endswith("give water_type or extinction_per_m, not both")
 
 
 # start 1 and step 1, so the stop is the last point of the grid

@@ -1,6 +1,7 @@
 """Properties shared by the three link laws and their registry."""
 
 import math
+import sys
 from dataclasses import fields
 
 import pytest
@@ -35,6 +36,28 @@ def test_distance_below_the_law_rejected(cls):
             params.sweep(bad, 1.0, 3)
         with pytest.raises(DomainError):
             params.received_power_dbm(bad)
+
+
+@pytest.mark.parametrize("cls", LINK_TYPES.values(), ids=lambda c: c.__name__)
+def test_what_a_law_cannot_evaluate_rejected(cls):
+    # a lossless optical link evaluates to NaN at an infinite distance
+    params = cls(**{"extinction_per_m": 0.0} if cls is OpticalLinkParams else {})
+    d0 = params.min_distance_m + 1.5
+    for bad in (math.inf, -math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            params.received_power_dbm(bad)
+        with pytest.raises(DomainError, match="finite"):
+            params.sweep(bad, 1.0, 3)
+    # a negative step: its last point below the law, or still inside it
+    for step, n in ((-0.25, 10), (-0.25, 4)):
+        with pytest.raises(DomainError, match="step"):
+            params.sweep(d0, step, n)
+    for step in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="step"):
+            params.sweep(d0, step, 3)
+    with pytest.raises(DomainError, match="finite"):  # the last point overflows
+        params.sweep(d0, sys.float_info.max, 3)
+    assert params.sweep(d0, 0.0, 3) == [params.rx_dbm(d0)] * 3
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,12 @@ def test_extinction_table():
     assert extinction_coefficient(WaterType.HARBOR) == 2.17
 
 
+def test_unknown_water_type_is_a_domain_error():
+    for maker in (extinction_coefficient, lambda w: make_link("optical", water_type=w)):
+        with pytest.raises(DomainError, match="one of pure_sea, clear_ocean, coastal, harbor"):
+            maker("muddy")
+
+
 def test_extinction_ordering():
     values = [extinction_coefficient(w) for w in WaterType]
     assert all(a < b for a, b in zip(values, values[1:]))

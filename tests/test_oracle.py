@@ -307,7 +307,8 @@ def _lifetime_case(draw):
 @example(("optical", EnergyProfile(0.5, 3.6, 0.083, 1.0), 1200.0, 0.8))  # flat at ~0.4 h
 @example(("optical", DEFAULT_ENERGY["optical"], 3600.0, 0.25))
 @example(("mi", DEFAULT_ENERGY["mi"], 0.0, 10.0))
-# bursts of 123456789.6 ns: some requests come 1 ns less than a burst apart
+# bursts of 123456789.6 ns: separately rounded request instants would put
+# some requests 1 ns less than a burst apart
 @example(("acoustic", EnergyProfile(950.0, 0.5, 0.015, 0.1234567896), 3600 / 0.1234567896, 0.05))
 # no request inside a 3.6 ns horizon, though the closed form's average
 # current is mostly active current
@@ -326,9 +327,10 @@ def test_simulated_lifetime_matches_the_closed_form(case):
     # The run's request grid, as simulate_lifetime lays it out.
     count = close = 0
     if rate > 0.0:
-        interval = 3600.0 / rate
-        count = max(0, int(math.floor((hours * 3600 - 1e-6) / interval)) + 1)
-        grid = [_ns(k * interval if k else 0.0) for k in range(count)]
+        horizon = _ns(hours * 3600)
+        interval = min(max(_ns(3600.0 / rate), 1), horizon)
+        count = -(-horizon // interval)
+        grid = [k * interval for k in range(count)]
         # a request less than a burst after the previous one can find the
         # node still active, and is then ignored
         burst_ns = _ns(burst)

@@ -370,6 +370,16 @@ def test_simulate_lifetime_always_active():
     assert life == pytest.approx(1900.0, rel=0.01)
 
 
+def test_simulate_lifetime_requests_are_never_closer_than_the_rate_says():
+    # Bursts of 123456789.6 ns at one burst per burst length: a grid of
+    # separately rounded instants would put some requests 1 ns closer than
+    # a burst, where they find the node active and are ignored (3103.9 h).
+    energy = EnergyProfile(950.0, 0.5, 0.015, 0.1234567896)
+    rate = 3600 / 0.1234567896
+    life = simulate_lifetime(make_node("acoustic", energy=energy), rate, 0.05)
+    assert life == pytest.approx(lifetime_hours(energy, WakePolicy.on_demand(rate)), rel=1e-4)
+
+
 def test_simulate_lifetime_depletion_inside_horizon():
     energy = EnergyProfile(0.0001, 0.5, 0.015, 1.0)
     node = make_node("acoustic", energy=energy)
