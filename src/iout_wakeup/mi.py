@@ -48,17 +48,17 @@ class MiLinkParams(LinkLaw):
 
     def __post_init__(self):
         require_finite(self)
-        positive = (
-            ("transmit_power_mw", self.transmit_power_mw),
-            ("frequency_khz", self.frequency_khz),
-            ("permeability_h_per_m", self.permeability_h_per_m),
-            ("turns_tx", self.turns_tx),
-            ("turns_rx", self.turns_rx),
-            ("coil_radius_tx_m", self.coil_radius_tx_m),
-            ("coil_radius_rx_m", self.coil_radius_rx_m),
-            ("unit_coil_resistance_ohm_per_m", self.unit_coil_resistance_ohm_per_m),
-        )
-        for name, value in positive:
+        for name in (
+            "transmit_power_mw",
+            "frequency_khz",
+            "permeability_h_per_m",
+            "turns_tx",
+            "turns_rx",
+            "coil_radius_tx_m",
+            "coil_radius_rx_m",
+            "unit_coil_resistance_ohm_per_m",
+        ):
+            value = getattr(self, name)
             if value <= 0:
                 raise DomainError(f"{name} must be positive: {value}")
         # A misalignment outside [0, 90] raises here.

@@ -53,17 +53,16 @@ def fmt6(x):
 # key a document leaves out is left out of the constructor call, so the
 # dataclass default applies.  Link records take ``sim.link_fields``.
 
-def _same(*names):
-    return dict(zip(names, names))
+def _keys(cls, **renamed):
+    """Every field of a dataclass under its own name or, for a field in
+    ``renamed``, under the key given there."""
+    return {renamed.get(f.name, f.name): f.name for f in fields(cls)}
 
 
-_MEDIUM_KEYS = _same("density_kg_m3", "sound_speed_m_s")
-_UAV_KEYS = _same("position", "rf_range_m")
-_BUOY_KEYS = _same("position", "transmitters", "rf_wakeup_enabled", "rf_sensitivity_dbm")
-_NODE_KEYS = _same("address", "position", "sensitivity_dbm", "energy") | {
-    "tech": "technology",
-    "link": "link_params",
-}
+_MEDIUM_KEYS = _keys(Medium)
+_UAV_KEYS = _keys(Uav)
+_BUOY_KEYS = _keys(Buoy)
+_NODE_KEYS = _keys(Node, technology="tech", link_params="link")
 # Also the lifetime CLI's energy flags: --capacity-mah sets battery_capacity_mah.
 ENERGY_KEYS = {
     "capacity_mah": "battery_capacity_mah",
@@ -71,8 +70,8 @@ ENERGY_KEYS = {
     "sleep_ma": "sleep_current_ma",
     "active_s": "active_duration_s",
 }
-_REQUEST_KEYS = _same("time_s", "target_address")
-_LINK_KEYS = {t: (_same(*link_fields(t)), link_fields(t)) for t in TECHNOLOGIES}
+_REQUEST_KEYS = _keys(WakeRequest)
+_LINK_KEYS = {t: ({n: n for n in link_fields(t)}, link_fields(t)) for t in TECHNOLOGIES}
 _SCENARIO_KEYS = ("medium", "uav", "buoys", "nodes", "wake_requests", "horizon_s")
 
 

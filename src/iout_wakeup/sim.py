@@ -113,8 +113,7 @@ class Node:
     technology: str
     link_params: object = None
     sensitivity_dbm: float = None
-    energy: EnergyProfile = None
-    remaining_charge_mah: float = None  # None = full battery
+    energy: EnergyProfile = None  # the battery starts full
 
     def __post_init__(self):
         if self.technology not in TECHNOLOGIES:
@@ -126,8 +125,6 @@ class Node:
             self.sensitivity_dbm = link_type.default_sensitivity_dbm
         if self.energy is None:
             self.energy = DEFAULT_ENERGY[self.technology]
-        if self.remaining_charge_mah is None:
-            self.remaining_charge_mah = self.energy.battery_capacity_mah
 
 
 @dataclass
@@ -223,13 +220,11 @@ class _NodeRuntime:
         self.active_ma = node.energy.active_current_ma
         self.sleep_ma = node.energy.sleep_current_ma
         self.state = SLEEP
-        self.initial_mah = node.remaining_charge_mah
+        self.initial_mah = node.energy.battery_capacity_mah
         self.last_ns = 0
         self.active_ns = 0
         self.sleep_ns = 0
-        self.depleted = False
         self.depleted_ns = None
-        self.wakes = 0
         self.latencies_s = []
         self.failures = 0
         self.woken_by = None  # the request that last woke the node
@@ -254,9 +249,9 @@ class _NodeRuntime:
         depletion instant if the battery runs out inside it.  Returns
         whether the battery is flat."""
         delta = now_ns - self.last_ns
-        if delta <= 0 or self.depleted:
+        if delta <= 0 or self.depleted_ns is not None:
             self.last_ns = max(self.last_ns, now_ns)
-            return self.depleted
+            return self.depleted_ns is not None
         active = self.state == ACTIVE
         current = self.active_ma if active else self.sleep_ma
         budget_mah = self.initial_mah - self.consumed_mah()
@@ -266,7 +261,6 @@ class _NodeRuntime:
             if split == math.inf:  # the product overflowed, the instant may not
                 split = budget_mah / current * 3600.0 * _NS
             delta = int(min(delta, split))
-            self.depleted = True
             self.depleted_ns = self.last_ns + delta
             events.append(SimEvent(self.depleted_ns, self.actor, "node_depleted", ""))
         if active:
@@ -274,7 +268,7 @@ class _NodeRuntime:
         else:
             self.sleep_ns += delta
         self.last_ns = now_ns
-        return self.depleted
+        return self.depleted_ns is not None
 
 
 def _validate(config: SimConfig):
@@ -314,11 +308,6 @@ def _validate(config: SimConfig):
         if not isinstance(node.link_params, LINK_TYPES[node.technology]):
             raise ConfigError(
                 f"node {node.address}: link params do not match technology {node.technology}"
-            )
-        if not 0.0 <= node.remaining_charge_mah <= node.energy.battery_capacity_mah:
-            raise ConfigError(
-                f"node {node.address}: initial charge {node.remaining_charge_mah} outside "
-                f"[0, {node.energy.battery_capacity_mah}]"
             )
         # the largest charge a run computes, in mA*s
         if not node.energy.active_current_ma * horizon_s <= sys.float_info.max:
@@ -436,7 +425,6 @@ def _run(config: SimConfig) -> SimReport:
                 latency_s = (t - req_ns) / _NS
                 nrt.state = ACTIVE
                 nrt.woken_by = req
-                nrt.wakes += 1
                 nrt.latencies_s.append(latency_s)
                 events.append(SimEvent(t, actor, "node_wake", f"latency_s={latency_s:.9f}"))
                 heappush(heap, (t + nrt.burst_ns, _PRIO_SLEEP, addr, next(seq), nrt))
@@ -498,12 +486,12 @@ def _run(config: SimConfig) -> SimReport:
             remaining = 0.0
         node_reports[addr] = NodeReport(
             address=addr,
-            wakes=nrt.wakes,
+            wakes=len(nrt.latencies_s),
             wake_latencies_s=nrt.latencies_s,
             charge_consumed_mah=consumed,
             remaining_charge_mah=remaining,
             failures=nrt.failures,
-            depleted=nrt.depleted,
+            depleted=nrt.depleted_ns is not None,
             depleted_at_s=None if nrt.depleted_ns is None else nrt.depleted_ns / _NS,
             final_state=nrt.state,
         )
@@ -569,8 +557,13 @@ def simulate_lifetime(node: Node, wake_rate_per_hour, horizon_hours):
     if nrep.depleted:
         return nrep.depleted_at_s / 3600.0
     consumed = nrep.charge_consumed_mah
-    hours = horizon_hours * node.remaining_charge_mah / consumed if consumed else math.inf
-    if not hours < math.inf:  # the consumed charge underflowed to 0, or the ratio overflowed
+    if consumed < sys.float_info.min:  # 0, or subnormal: too few significant bits
+        raise DomainError(
+            f"lifetime from {consumed} mAh consumed in {horizon_hours} h: the charge is "
+            "below the normal float range"
+        )
+    hours = horizon_hours * node.energy.battery_capacity_mah / consumed
+    if not hours < math.inf:  # the ratio overflowed
         raise DomainError(
             f"lifetime from {consumed} mAh consumed in {horizon_hours} h is beyond the float range"
         )

@@ -132,6 +132,13 @@ def test_param_validation():
         MiLinkParams(turns_tx=0)
     with pytest.raises(DomainError):
         MiLinkParams(coil_radius_rx_m=-0.5)
+    positive = ("transmit_power_mw", "frequency_khz", "permeability_h_per_m", "turns_tx",
+                "turns_rx", "coil_radius_tx_m", "coil_radius_rx_m",
+                "unit_coil_resistance_ohm_per_m")
+    for name in positive:
+        for value in (0, -1):
+            with pytest.raises(DomainError, match=f"^{name} must be positive: {value}$"):
+                MiLinkParams(**{name: value})
     for beta in (120.0, 90.000001, -1e-9):
         with pytest.raises(DomainError, match="misalignment must be in"):
             MiLinkParams(misalignment_beta_deg=beta)

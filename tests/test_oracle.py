@@ -1,5 +1,6 @@
-"""The simulator against two oracles: a deliberately naive reference
-engine, and the closed-form lifetime of the on-demand policy."""
+"""The simulator against two oracles, a deliberately naive reference
+engine and the closed-form lifetime of the on-demand policy, and against
+itself on the serialized config."""
 
 import itertools
 import math
@@ -18,6 +19,7 @@ from iout_wakeup.energy import (
     lifetime_hours,
 )
 from iout_wakeup.errors import ConfigError, DomainError, PolicyError
+from iout_wakeup.scenario import parse_scenario_text, scenario_to_json
 from iout_wakeup.sim import (
     ACTIVE,
     ADDRESS_MISMATCH,
@@ -37,7 +39,7 @@ from iout_wakeup.sim import (
     simulate_lifetime,
 )
 
-# Multiplies the example count of the two properties below (and nothing
+# Multiplies the example count of the three properties below (and nothing
 # else), so one CI leg can search longer; 1 when unset.
 SCALE = int(os.environ.get("IOUT_ORACLE_EXAMPLES_SCALE", "1"))
 
@@ -73,7 +75,7 @@ class _RefNode:
             return
         e = self.node.energy
         current = e.active_current_ma if self.state == ACTIVE else e.sleep_current_ma
-        budget = self.node.remaining_charge_mah - self.consumed()
+        budget = self.node.energy.battery_capacity_mah - self.consumed()
         if current * (delta / NS) / 3600.0 >= budget:
             split = budget * 3600.0 * NS / current
             if split == math.inf:
@@ -183,7 +185,7 @@ def reference_run(config):
         nodes[addr] = NodeReport(
             address=addr, wakes=ref.wakes, wake_latencies_s=ref.latencies,
             charge_consumed_mah=consumed,
-            remaining_charge_mah=max(ref.node.remaining_charge_mah - consumed, 0.0),
+            remaining_charge_mah=max(ref.node.energy.battery_capacity_mah - consumed, 0.0),
             failures=ref.failures, depleted=ref.depleted_ns is not None,
             depleted_at_s=None if ref.depleted_ns is None else ref.depleted_ns / NS,
             final_state=ref.state,
@@ -216,14 +218,13 @@ def _node(draw, address, horizon_s):
     depth = draw(st.one_of(st.sampled_from([2.0, 10.0, 50.0, 250.0]), st.floats(2.0, 300.0)))
     profile = DEFAULT_ENERGY[tech]
     burst = draw(st.sampled_from([profile.active_duration_s, 0.05, 0.3, 3.0]))
-    charge = draw(st.one_of(st.just(profile.battery_capacity_mah),
-                            _charge(profile.active_current_ma, horizon_s)))
-    capacity = draw(st.sampled_from([charge, profile.battery_capacity_mah])) or 1.0
-    capacity = max(capacity, charge)
+    # the battery starts full, so a partly drained node is a smaller battery
+    capacity = draw(st.one_of(st.just(profile.battery_capacity_mah),
+                              _charge(profile.active_current_ma, horizon_s)))
     energy = EnergyProfile(capacity, profile.active_current_ma, profile.sleep_current_ma, burst)
     sensitivity = draw(st.sampled_from([None, None, -120.0, -20.0]))
     return Node(address, Position3D(x, y, depth), tech, sensitivity_dbm=sensitivity,
-                energy=energy, remaining_charge_mah=charge)
+                energy=energy)
 
 
 @st.composite
@@ -252,12 +253,11 @@ def _flat_while_woken():
     """A node with half the charge of 2 s of activity, woken at once for a
     3 s burst: it runs flat at ~1 s and then hears a broadcast."""
     charge = 0.5 * DEFAULT_ENERGY["acoustic"].active_current_ma * 2.0 / 3600.0
-    energy = EnergyProfile(950.0, 0.5, 0.015, 3.0)
+    energy = EnergyProfile(charge, 0.5, 0.015, 3.0)
     return SimConfig(
         uav=Uav(Position3D(0.0, 0.0, -10.0), rf_range_m=100.0),
         buoys=[Buoy(Position3D(0.0, 0.0, 0.0))],
-        nodes=[Node(1, Position3D(0.0, 0.0, 10.0), "acoustic", energy=energy,
-                    remaining_charge_mah=charge)],
+        nodes=[Node(1, Position3D(0.0, 0.0, 10.0), "acoustic", energy=energy)],
         wake_requests=[WakeRequest(0.0, 1), WakeRequest(1.5, 999)],
         horizon_s=2.0,
     )
@@ -272,6 +272,22 @@ def test_engine_matches_the_reference_engine(config):
     assert report.events == events
     assert report.failures == failures
     assert report.nodes == nodes
+
+
+@settings(max_examples=300 * SCALE, deadline=None)
+@given(_config())
+@example(_flat_while_woken())
+def test_a_serialized_config_runs_as_the_config(config):
+    """The scenario format carries every fact a run reads: the config parsed
+    back from its JSON gives the same report."""
+    try:
+        report = run(config)
+    except ConfigError:
+        assume(False)
+    again = run(parse_scenario_text(scenario_to_json(config)))
+    assert again.events == report.events
+    assert again.failures == report.failures
+    assert again.nodes == report.nodes
 
 
 # ---------------------------------------------------------------------------

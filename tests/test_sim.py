@@ -478,6 +478,15 @@ def test_simulate_lifetime_rejects_a_consumed_charge_that_underflows():
         simulate_lifetime(node, 0.0, 0.01)
 
 
+def test_simulate_lifetime_rejects_a_subnormal_consumed_charge():
+    # 7.4e-324 mAh keeps one significant bit and rounds to 9.9e-324: the
+    # extrapolation would give 1.04e118 h against the closed form's 1.39e118 h
+    profile = EnergyProfile(6.88e-206, 6.88e-206, 5e-324, 5e-324)
+    assert lifetime_hours(profile, WakePolicy.on_demand(0.0)) == pytest.approx(1.39e118, rel=1e-2)
+    with pytest.raises(DomainError, match="below the normal float range"):
+        simulate_lifetime(make_node("acoustic", energy=profile), 0.0, 1.5)
+
+
 def test_simulate_lifetime_rejects_too_many_requests(monkeypatch):
     # 1e10 h at 10/h: a finite horizon of 1e11 requests, refused unbuilt
     with pytest.raises(ConfigError, match="requests"):
@@ -493,7 +502,6 @@ def test_node_defaults_fill_in():
     node = Node(address=5, position=Position3D(0, 0, 10.0), technology="optical")
     assert node.sensitivity_dbm == -53.0
     assert node.energy.active_current_ma == 3.6
-    assert node.remaining_charge_mah == 950.0
 
 
 def _pinned_config():
