@@ -20,7 +20,7 @@ from itertools import chain
 
 from .core import TECHNOLOGIES, LinkLaw, Medium, Position3D
 from .energy import EnergyProfile, energy_profile
-from .errors import DomainError, ParseError, ValidationError
+from .errors import ConfigError, DomainError, ParseError, ValidationError
 from .optical import WaterType
 from .sim import Buoy, Node, SimConfig, Uav, WakeRequest, link_fields, make_link
 
@@ -120,11 +120,7 @@ _READERS = {
         lambda v: isinstance(v, list) and len(v) == 3 and all(map(_finite, v)),
         lambda v: Position3D(*map(float, v)),
     ),
-    tuple: _reader(
-        f"technologies from {TECHNOLOGIES}",
-        lambda v: isinstance(v, list) and all(t in TECHNOLOGIES for t in v),
-        tuple,
-    ),
+    tuple: _reader("a list", lambda v: isinstance(v, list), tuple),
     object: _reader("an object", lambda v: isinstance(v, dict)),
     EnergyProfile: _reader("an object", lambda v: isinstance(v, dict)),
 }
@@ -132,14 +128,14 @@ _READERS = {
 
 def _record(make, keys, obj, path, required=(), types=None):
     """make(**fields) from the keys obj gives, each read by the type of its
-    field (in ``types``, else in the dataclass ``make``); a value outside
-    the model's domain is a ValidationError at the record's path."""
+    field (in ``types``, else in the dataclass ``make``); a value the record
+    rejects is a ValidationError at the record's path."""
     _check_keys(obj, keys, required, path)
     types = types or _field_types(make)
     given = {keys[k]: _READERS[types[keys[k]]](v, path, k) for k, v in obj.items()}
     try:
         return make(**given)
-    except DomainError as exc:
+    except (DomainError, ConfigError) as exc:
         raise ValidationError(f"{path}: {exc}") from None
 
 
@@ -153,11 +149,9 @@ def _list(data, key, required):
 # ---------------------------------------------------------------------------
 # parsing
 
-def _node(medium, path, technology, position, link_params=None, energy=None, **given):
-    if technology not in TECHNOLOGIES:
+def _node(medium, path, technology, link_params=None, energy=None, **given):
+    if technology not in TECHNOLOGIES:  # before its link keys are looked up
         raise ValidationError(f"{path}.tech: expected one of {TECHNOLOGIES}")
-    if position.z <= 0.0:
-        raise ValidationError(f"{path}.position: node above surface (z must be > 0)")
     link = partial(make_link, technology, medium)
     keys, types = _LINK_KEYS[technology]
     given["link_params"] = _record(link, keys, link_params or {}, f"{path}.link", (), types)
@@ -165,7 +159,7 @@ def _node(medium, path, technology, position, link_params=None, energy=None, **g
         profile = partial(energy_profile, technology)
         types = _field_types(EnergyProfile)
         given["energy"] = _record(profile, ENERGY_KEYS, energy, f"{path}.energy", (), types)
-    return Node(technology=technology, position=position, **given)
+    return Node(technology=technology, **given)
 
 
 def parse_scenario_data(data) -> SimConfig:

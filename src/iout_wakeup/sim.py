@@ -39,6 +39,7 @@ from .core import (
     Medium,
     Position3D,
     propagation_delay,
+    require_finite,
 )
 from .energy import DEFAULT_ENERGY, EnergyProfile, WakePolicy, lifetime_hours
 from .errors import ConfigError, DomainError
@@ -104,7 +105,7 @@ def _valid_horizon(horizon_s):
     return horizon_s > 0.0 and 0 < _to_ns(horizon_s) < math.inf
 
 
-@dataclass
+@dataclass(frozen=True)
 class Node:
     """Submerged sensor node; every node starts asleep at t = 0."""
 
@@ -120,34 +121,68 @@ class Node:
             raise ConfigError(f"unknown technology: {self.technology}")
         link_type = LINK_TYPES[self.technology]
         if self.link_params is None:
-            self.link_params = link_type()
+            object.__setattr__(self, "link_params", link_type())
+        elif not isinstance(self.link_params, link_type):
+            raise ConfigError(f"link params do not match technology {self.technology}")
         if self.sensitivity_dbm is None:
-            self.sensitivity_dbm = link_type.default_sensitivity_dbm
+            object.__setattr__(self, "sensitivity_dbm", link_type.default_sensitivity_dbm)
         if self.energy is None:
-            self.energy = DEFAULT_ENERGY[self.technology]
+            object.__setattr__(self, "energy", DEFAULT_ENERGY[self.technology])
+        require_finite(self)
+        if not 0 <= self.address <= MAX_ADDRESS:
+            raise ConfigError(f"address out of 16-bit range: {self.address}")
+        if self.position.z <= 0.0:
+            raise ConfigError(f"node above surface: z={self.position.z}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Buoy:
     """Surface relay at z = 0; ``transmitters`` lists the equipped
-    wake-up technologies."""
+    wake-up technologies, each at most once."""
 
     position: Position3D
     transmitters: tuple = TECHNOLOGIES
     rf_wakeup_enabled: bool = True
     rf_sensitivity_dbm: float = -100.0
 
+    def __post_init__(self):
+        if self.position.z != 0.0:
+            raise ConfigError(f"buoy not at surface: z={self.position.z}")
+        for tech in self.transmitters:
+            if tech not in TECHNOLOGIES:
+                raise ConfigError(f"unknown transmitter technology: {tech}")
+        # a repeated technology would emit every broadcast twice
+        if len(set(self.transmitters)) < len(self.transmitters):
+            raise ConfigError(f"repeated transmitter technology: {self.transmitters}")
 
-@dataclass
+
+@dataclass(frozen=True)
 class Uav:
+    """Airborne requester at z < 0; buoys within ``rf_range_m`` hear it."""
+
     position: Position3D
     rf_range_m: float = 1000.0
+
+    def __post_init__(self):
+        require_finite(self)
+        if self.position.z >= 0.0:
+            raise ConfigError(f"uav not above surface: z={self.position.z}")
+        if not self.rf_range_m > 0.0:
+            raise ConfigError(f"rf range must be positive: {self.rf_range_m}")
 
 
 @dataclass(frozen=True)
 class WakeRequest:
+    """A time past the float range of whole ns (inf too) never runs."""
+
     time_s: float
     target_address: int
+
+    def __post_init__(self):
+        if not self.time_s >= 0.0:
+            raise ConfigError(f"wake request before t=0: {self.time_s}")
+        if not 0 <= self.target_address <= MAX_ADDRESS:
+            raise ConfigError(f"request address out of 16-bit range: {self.target_address}")
 
 
 @dataclass
@@ -272,43 +307,19 @@ class _NodeRuntime:
 
 
 def _validate(config: SimConfig):
+    """The rules that span records; each record checks its own fields."""
     if not _valid_horizon(config.horizon_s):
         raise ConfigError(f"horizon must be positive and finite in whole ns: {config.horizon_s}")
     horizon_s = _to_ns(config.horizon_s) / _NS
     if config.uav is None:
         raise ConfigError("config needs a uav")
-    if config.uav.position.z >= 0.0:
-        raise ConfigError("uav below surface: z must be negative")
-    if not config.uav.rf_range_m > 0.0:
-        raise ConfigError(f"rf range must be positive: {config.uav.rf_range_m}")
     if not config.buoys:
         raise ConfigError("config needs at least one buoy")
-    for i, buoy in enumerate(config.buoys):
-        if buoy.position.z != 0.0:
-            raise ConfigError(f"buoy {i} not at surface: z={buoy.position.z}")
-        for tech in buoy.transmitters:
-            if tech not in TECHNOLOGIES:
-                raise ConfigError(f"buoy {i}: unknown transmitter technology {tech}")
-        # a repeated technology would emit every broadcast twice
-        if len(set(buoy.transmitters)) < len(buoy.transmitters):
-            raise ConfigError(f"buoy {i}: repeated transmitter technology: {buoy.transmitters}")
     seen = set()
     for node in config.nodes:
-        if not 0 <= node.address <= MAX_ADDRESS:
-            raise ConfigError(f"address out of 16-bit range: {node.address}")
         if node.address in seen:
             raise ConfigError(f"duplicate address: {node.address}")
         seen.add(node.address)
-        if node.position.z <= 0.0:
-            raise ConfigError(f"node above surface: address={node.address} z={node.position.z}")
-        if not math.isfinite(node.sensitivity_dbm):
-            raise ConfigError(
-                f"node {node.address}: sensitivity must be finite: {node.sensitivity_dbm}"
-            )
-        if not isinstance(node.link_params, LINK_TYPES[node.technology]):
-            raise ConfigError(
-                f"node {node.address}: link params do not match technology {node.technology}"
-            )
         # the largest charge a run computes, in mA*s
         if not node.energy.active_current_ma * horizon_s <= sys.float_info.max:
             raise ConfigError(
@@ -322,11 +333,6 @@ def _validate(config: SimConfig):
                     f"node {node.address} closer than the link model's reference "
                     f"distance to buoy {i}"
                 )
-    for req in config.wake_requests:
-        if not req.time_s >= 0.0:
-            raise ConfigError(f"wake request before t=0: {req.time_s}")
-        if not 0 <= req.target_address <= MAX_ADDRESS:
-            raise ConfigError(f"request address out of 16-bit range: {req.target_address}")
 
 
 def _link_table(buoy, runtimes, technology):

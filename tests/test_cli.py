@@ -366,7 +366,7 @@ def test_simulate_empty_requests_pure_sleep_charge(tmp_path):
 @pytest.mark.parametrize(
     "node,top,detail",
     [
-        ({"position": [0, 0, -50]}, {}, "nodes[0].position: node above surface"),
+        ({"position": [0, 0, -50]}, {}, "nodes[0]: node above surface"),
         ({"tech": "mi", "link": {"frequency_khz": -1}}, {},
          "nodes[0].link: frequency_khz must be positive"),
         ({"energy": {"active_ma": 0.001}}, {}, "nodes[0].energy: need active > sleep"),
@@ -382,12 +382,23 @@ def test_simulate_empty_requests_pure_sleep_charge(tmp_path):
         ({"tech": "mi", "link": {"turns_tx": 10**307}}, {},
          "nodes[0].link: coil factor"),
         ({}, {"buoys": [{"position": [0, 0, 0], "transmitters": ["acoustic", "acoustic"]}]},
-         "buoy 0: repeated transmitter technology"),
+         "buoys[0]: repeated transmitter technology"),
+        ({}, {"buoys": [{"position": [0, 0, 5]}]}, "buoys[0]: buoy not at surface: z=5.0"),
+        ({"address": 70000}, {}, "nodes[0]: address out of 16-bit range: 70000"),
+        ({}, {"wake_requests": [{"time_s": -1, "target_address": 1}]},
+         "wake_requests[0]: wake request before t=0: -1.0"),
+        ({}, {"uav": {"position": [0, 0, 5]}}, "uav: uav not above surface: z=5.0"),
+        ({}, {"buoys": [{"position": [0, 0, 0], "transmitters": ["laser"]}]},
+         "buoys[0]: unknown transmitter technology: laser"),
+        ({}, {"buoys": [{"position": [0, 0, 0], "transmitters": [["mi"], ["mi"]]}]},
+         "buoys[0]: unknown transmitter technology: ['mi']"),
     ],
     ids=[
         "node-above-surface", "link-domain", "energy-domain", "nan-sensitivity",
         "nan-horizon", "horizon-beyond-ns", "infinite-request-time", "infinite-rf-range",
         "absorption-overflow", "coil-factor-overflow", "repeated-transmitter",
+        "buoy-off-surface", "wide-address", "request-before-zero", "uav-below-surface",
+        "unknown-transmitter", "unhashable-transmitter",
     ],
 )
 def test_simulate_invalid_scenario_exits_4(node, top, detail, tmp_path, capsys):

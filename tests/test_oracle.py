@@ -1,6 +1,7 @@
 """The simulator against two oracles, a deliberately naive reference
 engine and the closed-form lifetime of the on-demand policy, and against
-itself on the serialized config."""
+itself on the serialized config; and its records over the full numeric
+ranges."""
 
 import itertools
 import math
@@ -39,7 +40,7 @@ from iout_wakeup.sim import (
     simulate_lifetime,
 )
 
-# Multiplies the example count of the three properties below (and nothing
+# Multiplies the example count of the four properties below (and nothing
 # else), so one CI leg can search longer; 1 when unset.
 SCALE = int(os.environ.get("IOUT_ORACLE_EXAMPLES_SCALE", "1"))
 
@@ -364,3 +365,71 @@ def test_simulated_lifetime_matches_the_closed_form(case):
     charge = (a - s) * active_s / 3600.0 + 1e-322
     bound = charge / average_current(profile, policy) + 2e-9 / 3600.0
     assert abs(simulated - expected) <= bound * max(1.0, simulated / hours) + 1e-9 * expected
+
+
+# ---------------------------------------------------------------------------
+# records over the full numeric ranges
+
+_ANY_NUMBER = st.one_of(st.floats(), st.integers(-10**400, 10**400))  # NaN, +-inf too
+
+
+@st.composite
+def _record_fields(draw):
+    """The field values of a UAV, buoys, nodes and requests, unbuilt, so
+    that the test sees what each constructor raises.  Each number is any
+    float or int up to +-10**400 at a drawn rate (from none to all),
+    else one of a few values a valid record holds."""
+    wild_percent = draw(st.sampled_from([0, 3, 10, 30, 100]))
+
+    def number(*plausible):
+        if draw(st.integers(0, 99)) < wild_percent:
+            return draw(_ANY_NUMBER)
+        return draw(st.sampled_from(plausible))
+
+    uav = (number(0.0, 20.0), number(0.0), number(-10.0)), number(50.0, 300.0)
+    buoys = [
+        ((number(0.0, 40.0), number(0.0), number(0.0, -0.0)),
+         tuple(draw(st.permutations(TECHNOLOGIES))[:draw(st.integers(0, 3))]),
+         number(-100.0))
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    nodes = [
+        (number(0, 1, 2, 65535), draw(st.sampled_from(TECHNOLOGIES)),
+         (number(0.0, 20.0), number(0.0), number(10.0, 50.0)),
+         None if draw(st.booleans()) else number(-120.0, -20.0))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    requests = [
+        (number(0.0, 0.5, 1.0), number(0, 1, 2, 999)) for _ in range(draw(st.integers(0, 3)))
+    ]
+    return uav, buoys, nodes, requests
+
+
+# The ConfigError messages of the rules that span records and that these
+# draws can break (the horizon and the energy profiles are fixed).
+_CROSS_RECORD = ("duplicate address", "reference distance")
+
+
+@settings(max_examples=300 * SCALE, deadline=None)
+@given(_record_fields())
+def test_records_are_valid_or_raise_a_typed_error(drawn):
+    """Each record checks its own fields: its constructor raises DomainError
+    or ConfigError, or the record is valid, and a config of valid records
+    runs or breaks only a rule that spans records."""
+    (uav_xyz, rf_range_m), buoys, nodes, requests = drawn
+    try:
+        config = SimConfig(
+            uav=Uav(Position3D(*uav_xyz), rf_range_m),
+            buoys=[Buoy(Position3D(*xyz), techs, rf_sensitivity_dbm=rf_dbm)
+                   for xyz, techs, rf_dbm in buoys],
+            nodes=[Node(address, Position3D(*xyz), tech, sensitivity_dbm=dbm)
+                   for address, tech, xyz, dbm in nodes],
+            wake_requests=[WakeRequest(time_s, address) for time_s, address in requests],
+            horizon_s=5.0,
+        )
+    except (DomainError, ConfigError):
+        return
+    try:
+        run(config)
+    except ConfigError as exc:
+        assert any(rule in str(exc) for rule in _CROSS_RECORD), exc

@@ -122,7 +122,7 @@ def test_uav_out_of_rf_range_blocks_everything():
 def test_rf_disabled_buoy_does_not_relay():
     node = make_node("acoustic", address=1, depth_m=100.0)
     config = _config([node], [WakeRequest(0.0, 1)])
-    config.buoys[0].rf_wakeup_enabled = False
+    config.buoys[0] = dataclasses.replace(config.buoys[0], rf_wakeup_enabled=False)
     report = run(config)
     assert [e.kind for e in report.events] == ["wake_request"]
     assert report.failures[0].detail == "no buoy within rf range"
@@ -130,10 +130,9 @@ def test_rf_disabled_buoy_does_not_relay():
 
 def test_rf_disabled_near_buoy_moves_the_relay_to_the_far_one():
     node = make_node("acoustic", address=1, depth_m=100.0)
-    near = Buoy(Position3D(0.0, 0.0, 0.0))
     far = Buoy(Position3D(50.0, 0.0, 0.0))
     for enabled, relay in ((True, "buoy0"), (False, "buoy1")):
-        near.rf_wakeup_enabled = enabled
+        near = Buoy(Position3D(0.0, 0.0, 0.0), rf_wakeup_enabled=enabled)
         config = SimConfig(
             uav=Uav(Position3D(0.0, 0.0, -10.0), rf_range_m=60.0),
             buoys=[near, far],
@@ -300,10 +299,8 @@ def test_config_rejects_duplicate_addresses():
 
 def test_config_rejects_repeated_transmitter():
     # a buoy listing a technology twice would emit every broadcast twice
-    node = make_node("acoustic", address=1, depth_m=100.0)
-    config = _config([node], [WakeRequest(0.0, 9)], transmitters=("acoustic", "mi", "acoustic"))
-    with pytest.raises(ConfigError, match="buoy 0: repeated transmitter technology"):
-        run(config)
+    with pytest.raises(ConfigError, match="repeated transmitter technology"):
+        Buoy(Position3D(0.0, 0.0, 0.0), transmitters=("acoustic", "mi", "acoustic"))
 
 
 def test_config_rejects_node_above_surface():
@@ -311,26 +308,30 @@ def test_config_rejects_node_above_surface():
         run(_config([make_node("acoustic", depth_m=-5.0)], []))
 
 
+# A horizon is checked by run; a field of a record by the record's constructor,
+# so those cases only build the record.
 @pytest.mark.parametrize(
-    "change",
+    "change,error",
     [
-        lambda c: setattr(c, "horizon_s", float("nan")),
-        lambda c: setattr(c, "horizon_s", float("inf")),
-        lambda c: setattr(c, "horizon_s", 1e300),
-        lambda c: setattr(c, "horizon_s", 10**400),
-        lambda c: setattr(c, "horizon_s", 4e-10),
-        lambda c: setattr(c.uav, "rf_range_m", float("nan")),
-        lambda c: setattr(c.nodes[0], "sensitivity_dbm", float("nan")),
-        lambda c: c.wake_requests.append(WakeRequest(float("nan"), 1)),
+        (lambda c: setattr(c, "horizon_s", float("nan")), ConfigError),
+        (lambda c: setattr(c, "horizon_s", float("inf")), ConfigError),
+        (lambda c: setattr(c, "horizon_s", 1e300), ConfigError),
+        (lambda c: setattr(c, "horizon_s", 10**400), ConfigError),
+        (lambda c: setattr(c, "horizon_s", 4e-10), ConfigError),
+        (lambda c: Uav(c.uav.position, float("nan")), DomainError),
+        (lambda c: make_node("acoustic", sensitivity_dbm=float("nan")), DomainError),
+        (lambda c: WakeRequest(float("nan"), 1), ConfigError),
+        # an int beyond the float range is not finite either
+        (lambda c: make_node("acoustic", sensitivity_dbm=10**400), DomainError),
     ],
     ids=["nan-horizon", "inf-horizon", "horizon-beyond-ns", "int-horizon-beyond-float",
          "horizon-under-1-ns", "nan-rf-range",
-         "nan-sensitivity", "nan-request-time"],
+         "nan-sensitivity", "nan-request-time", "int-sensitivity-beyond-float"],
 )
-def test_config_rejects_non_finite_values(change):
+def test_config_rejects_non_finite_values(change, error):
     config = _config([make_node("acoustic", address=1, depth_m=100.0)], [])
-    change(config)
-    with pytest.raises(ConfigError):
+    with pytest.raises(error):
+        change(config)
         run(config)
 
 
@@ -342,9 +343,8 @@ def test_config_rejects_wide_addresses():
 def test_config_rejects_mismatched_link_params():
     from iout_wakeup.optical import OpticalLinkParams
 
-    node = make_node("acoustic", address=1, link_params=OpticalLinkParams())
-    with pytest.raises(ConfigError):
-        run(_config([node], []))
+    with pytest.raises(ConfigError, match="link params do not match technology acoustic"):
+        make_node("acoustic", address=1, link_params=OpticalLinkParams())
 
 
 def test_state_is_valid_enum_during_run():
@@ -582,8 +582,7 @@ def test_out_of_range_iff_below_sensitivity(data):
     for address, tech in enumerate(TECHNOLOGIES, start=1):
         node = make_node(tech, address=address)
         depth = data.draw(st.floats(*node.link_params.sweep_range_m), label=tech)
-        node.position = Position3D(0.0, 0.0, depth)
-        nodes.append(node)
+        nodes.append(dataclasses.replace(node, position=Position3D(0.0, 0.0, depth)))
     config = _config(nodes, [WakeRequest(0.0, node.address) for node in nodes])
     report = run(config)
     buoy = config.buoys[0].position
