@@ -26,7 +26,7 @@ import math
 import sys
 from dataclasses import dataclass, field, fields
 from heapq import heappop, heappush
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from . import acoustic, mi, optical
 from .core import (
@@ -54,9 +54,13 @@ DEPLETED = "depleted"
 MAX_ADDRESS = 0xFFFF
 
 _NS = 1_000_000_000
+_FLOAT_MAX = sys.float_info.max
 # Queue priorities: sleep transitions, then arrivals (buoy RF, node WuS),
 # then fresh UAV emissions.  A queue entry is (time, priority, key,
-# sequence, *payload): its priority also names its kind.
+# sequence, *payload): its priority also names its kind.  The queue holds
+# at most one request, the next in (whole ns, config order): popping it
+# pushes the one after, so the requests keep the order they would have
+# if all were queued at t = 0.
 _PRIO_SLEEP, _PRIO_RF, _PRIO_WUS, _PRIO_REQUEST = 0, 1, 2, 3
 
 # The link law of each technology: its params class computes received
@@ -96,7 +100,7 @@ def _to_ns(seconds):
     """Whole nanoseconds; inf past the float range (an int count too),
     beyond any horizon."""
     ns = seconds * _NS
-    return int(round(ns)) if ns <= sys.float_info.max else math.inf
+    return round(ns) if ns <= _FLOAT_MAX else math.inf
 
 
 def _valid_horizon(horizon_s):
@@ -129,6 +133,9 @@ class Node:
         if self.energy is None:
             object.__setattr__(self, "energy", DEFAULT_ENERGY[self.technology])
         require_finite(self)
+        # exact ints only, as in a scenario: 1, 1.0 and True are one dict key
+        if type(self.address) is not int:
+            raise ConfigError(f"address must be an integer: {self.address}")
         if not 0 <= self.address <= MAX_ADDRESS:
             raise ConfigError(f"address out of 16-bit range: {self.address}")
         if self.position.z <= 0.0:
@@ -181,6 +188,8 @@ class WakeRequest:
     def __post_init__(self):
         if not self.time_s >= 0.0:
             raise ConfigError(f"wake request before t=0: {self.time_s}")
+        if type(self.target_address) is not int:
+            raise ConfigError(f"request address must be an integer: {self.target_address}")
         if not 0 <= self.target_address <= MAX_ADDRESS:
             raise ConfigError(f"request address out of 16-bit range: {self.target_address}")
 
@@ -335,12 +344,15 @@ def _validate(config: SimConfig):
                 )
 
 
-def _link_table(buoy, runtimes, technology):
-    """(delay_ns, address, runtime, miss) from a buoy to each node of a
-    technology, in config order.  Received power and sensitivity are fixed
-    per (buoy, node), so whether the node hears the buoy is decided here:
-    ``miss`` is None if it does, else the finished ``wus_arrival`` and
-    failure details, shared by every arrival on that link."""
+def _link_table(buoy, hop_ns, runtimes, technology):
+    """(delay_ns, address, runtime, miss, wake) from a buoy, ``hop_ns``
+    after the UAV, to each node of a technology, in config order.  Received
+    power and sensitivity are fixed per (buoy, node), so whether the node
+    hears the buoy is decided here: ``miss`` is None if it does, else the
+    finished ``wus_arrival`` and failure details, shared by every arrival
+    on that link.  So is the wake latency, the UAV hop plus the link delay:
+    ``wake`` is (latency_s, the ``node_wake`` detail) if the node hears
+    the buoy, else None."""
     table = []
     for nrt in runtimes.values():
         node = nrt.node
@@ -348,13 +360,16 @@ def _link_table(buoy, runtimes, technology):
             dist = buoy.position.distance_to(node.position)
             delay_ns = _to_ns(propagation_delay(node.link_params, dist))
             rx_dbm = node.link_params.rx_dbm(dist)
-            miss = None
+            miss = wake = None
             if rx_dbm < node.sensitivity_dbm:
                 miss = (
                     f"below_sensitivity rx_dbm={rx_dbm:.3f}",
                     f"rx {rx_dbm:.3f} dBm below sensitivity {node.sensitivity_dbm:.3f} dBm",
                 )
-            table.append((delay_ns, node.address, nrt, miss))
+            else:
+                latency_s = (hop_ns + delay_ns) / _NS
+                wake = (latency_s, f"latency_s={latency_s:.9f}")
+            table.append((delay_ns, node.address, nrt, miss, wake))
     return table
 
 
@@ -385,8 +400,22 @@ def _run(config: SimConfig) -> SimReport:
     failures = []
     heap = []
     seq = itertools.count()
+    # Sorted by whole ns, not by time_s: two times can round to one ns, and
+    # config order must then decide.
+    requests = iter(sorted(((_to_ns(r.time_s), r) for r in config.wake_requests),
+                           key=itemgetter(0)))
+    first = next(requests, None)
+    if first is not None:
+        heappush(heap, (first[0], _PRIO_REQUEST, 0, next(seq), first[1]))
+
+    # The details every arrival of a request logs, rendered once per target
+    # (an exact int, so one key renders one way): the target, the mismatch
+    # outcome and a mismatch failure's prefix.
+    details = {}
     for req in config.wake_requests:
-        heappush(heap, (_to_ns(req.time_s), _PRIO_REQUEST, 0, next(seq), req))
+        if req.target_address not in details:
+            text = f"target={req.target_address}"
+            details[req.target_address] = (text, "address_mismatch " + text, text + " local=")
 
     # The RF hop of every buoy that hears the UAV: its index, delay, actor
     # and, per equipped technology in transmitter order, its link table.
@@ -394,8 +423,11 @@ def _run(config: SimConfig) -> SimReport:
     for bidx, buoy in enumerate(config.buoys):
         dist = config.uav.position.distance_to(buoy.position)
         if buoy.rf_wakeup_enabled and dist <= config.uav.rf_range_m:
-            tables = {tech: _link_table(buoy, runtimes, tech) for tech in buoy.transmitters}
-            hops.append((bidx, _to_ns(dist / LIGHT_SPEED_M_S), f"buoy{bidx}", tables))
+            hop_ns = _to_ns(dist / LIGHT_SPEED_M_S)
+            tables = {
+                tech: _link_table(buoy, hop_ns, runtimes, tech) for tech in buoy.transmitters
+            }
+            hops.append((bidx, hop_ns, f"buoy{bidx}", tables))
 
     while heap and heap[0][0] <= horizon_ns:  # nothing past the horizon (or inf) runs
         entry = heappop(heap)
@@ -403,7 +435,7 @@ def _run(config: SimConfig) -> SimReport:
 
         # Signal arrivals are almost every entry, so they are tested first.
         if kind == _PRIO_WUS:
-            t, _, addr, _, nrt, req, req_ns, miss, texts = entry
+            t, _, addr, _, nrt, req, miss, wake, texts = entry
             actor = nrt.actor
             if nrt.can_deplete and nrt.settle(t, events):
                 events.append(SimEvent(t, actor, "wus_arrival", "depleted"))
@@ -428,11 +460,10 @@ def _run(config: SimConfig) -> SimReport:
             else:
                 if not nrt.can_deplete:
                     nrt.settle(t, events)
-                latency_s = (t - req_ns) / _NS
                 nrt.state = ACTIVE
                 nrt.woken_by = req
-                nrt.latencies_s.append(latency_s)
-                events.append(SimEvent(t, actor, "node_wake", f"latency_s={latency_s:.9f}"))
+                nrt.latencies_s.append(wake[0])
+                events.append(SimEvent(t, actor, "node_wake", wake[1]))
                 heappush(heap, (t + nrt.burst_ns, _PRIO_SLEEP, addr, next(seq), nrt))
 
         elif kind == _PRIO_SLEEP:
@@ -442,7 +473,7 @@ def _run(config: SimConfig) -> SimReport:
                 events.append(SimEvent(t, nrt.actor, "node_sleep", ""))
 
         elif kind == _PRIO_RF:
-            t, _, _, _, actor, tables, req, req_ns, texts = entry
+            t, _, _, _, actor, tables, req, texts = entry
             events.append(SimEvent(t, actor, "rf_arrival", texts[0]))
             target = runtimes.get(req.target_address)
             if target is not None:
@@ -457,31 +488,32 @@ def _run(config: SimConfig) -> SimReport:
                 techs = tables
             for tech in techs:
                 events.append(SimEvent(t, actor, "wus_emit", f"tech={tech} {texts[0]}"))
-                for delay_ns, addr, nrt, miss in tables[tech]:
+                for delay_ns, addr, nrt, miss, wake in tables[tech]:
                     heappush(
                         heap,
-                        (t + delay_ns, _PRIO_WUS, addr, next(seq), nrt, req, req_ns, miss, texts),
+                        (t + delay_ns, _PRIO_WUS, addr, next(seq), nrt, req, miss, wake, texts),
                     )
 
         else:  # a request
             t, req = entry[0], entry[4]
-            # The details every arrival of this request logs, rendered once:
-            # the target, the mismatch outcome and a mismatch failure's prefix.
-            target_text = f"target={req.target_address}"
-            texts = (target_text, "address_mismatch " + target_text, target_text + " local=")
-            events.append(SimEvent(t, "uav", "wake_request", target_text))
+            texts = details[req.target_address]
+            events.append(SimEvent(t, "uav", "wake_request", texts[0]))
             for bidx, delay_ns, actor, tables in hops:
-                rf = (t + delay_ns, _PRIO_RF, bidx, next(seq), actor, tables, req, t, texts)
-                heappush(heap, rf)
+                heappush(heap, (t + delay_ns, _PRIO_RF, bidx, next(seq), actor, tables, req, texts))
             if not hops:
                 failures.append(FailureRecord(t, OUT_OF_RANGE, "uav", "no buoy within rf range"))
+            following = next(requests, None)
+            if following is not None:
+                heappush(heap, (following[0], _PRIO_REQUEST, 0, next(seq), following[1]))
 
     for nrt in runtimes.values():
         nrt.settle(horizon_ns, events)
 
-    # Depletions are discovered while settling, possibly after later-timed
-    # entries were already logged; a stable sort restores chronology.
-    events.sort(key=attrgetter("time_ns"))
+    # Every other event is logged in time order.  Depletions are discovered
+    # while settling, possibly after later-timed entries were already
+    # logged; a stable sort restores chronology.
+    if any(nrt.depleted_ns is not None for nrt in runtimes.values()):
+        events.sort(key=attrgetter("time_ns"))
 
     node_reports = {}
     for addr in sorted(runtimes):

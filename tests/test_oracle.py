@@ -242,7 +242,11 @@ def _config(draw):
     addresses = draw(st.lists(st.integers(0, 15), min_size=1, max_size=12, unique=True))
     nodes = [draw(_node(address, horizon_s)) for address in addresses]
     targets = st.sampled_from(addresses + addresses + [7, 999, 65535])
-    times = st.sampled_from([0.0, 0.0, 0.2, 0.5, 1.0, 1.02, 4.0, 19.9, 25.0])
+    # nextafter(1.0, 2.0) is a later float at the same ns as 1.0: requests
+    # sharing an instant out of float order run in config order
+    times = st.sampled_from(
+        [0.0, 0.0, 0.2, 0.5, 1.0, math.nextafter(1.0, 2.0), 1.02, 4.0, 19.9, 25.0]
+    )
     requests = [WakeRequest(draw(times), draw(targets)) for _ in range(draw(st.integers(0, 12)))]
     rf_range_m = draw(st.sampled_from([5.0, 50.0, 300.0, 300.0]))
     uav = Uav(Position3D(20.0, 0.0, -10.0), rf_range_m=rf_range_m)

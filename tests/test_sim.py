@@ -323,10 +323,19 @@ def test_config_rejects_node_above_surface():
         (lambda c: WakeRequest(float("nan"), 1), ConfigError),
         # an int beyond the float range is not finite either
         (lambda c: make_node("acoustic", sensitivity_dbm=10**400), DomainError),
+        # an address is an exact int, as in a scenario; a NaN one is not finite
+        (lambda c: make_node("acoustic", address=1.5), ConfigError),
+        (lambda c: make_node("acoustic", address=1.0), ConfigError),
+        (lambda c: make_node("acoustic", address=True), ConfigError),
+        (lambda c: make_node("acoustic", address=float("nan")), DomainError),
+        (lambda c: WakeRequest(0.0, 1.5), ConfigError),
+        (lambda c: WakeRequest(0.0, True), ConfigError),
     ],
     ids=["nan-horizon", "inf-horizon", "horizon-beyond-ns", "int-horizon-beyond-float",
          "horizon-under-1-ns", "nan-rf-range",
-         "nan-sensitivity", "nan-request-time", "int-sensitivity-beyond-float"],
+         "nan-sensitivity", "nan-request-time", "int-sensitivity-beyond-float",
+         "float-address", "integral-float-address", "bool-address", "nan-address",
+         "float-request-address", "bool-request-address"],
 )
 def test_config_rejects_non_finite_values(change, error):
     config = _config([make_node("acoustic", address=1, depth_m=100.0)], [])
