@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import isfinite, log10
 
-from .core import LinkLaw, Medium, require_finite
+from .core import LinkLaw, Medium, check_fields
 from .errors import DomainError
 
 # Source level is referenced to 1 m from the projector; closer inputs are
@@ -60,7 +60,7 @@ class AcousticLinkParams(LinkLaw):
     default_sensitivity_dbm = -10.0     # dBm re 1 mW/m^2
 
     def __post_init__(self):
-        require_finite(self)
+        check_fields(self)
         # A frequency that is not positive, or whose absorption overflows,
         # raises here.
         self.alpha_db_per_km

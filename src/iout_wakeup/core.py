@@ -13,7 +13,7 @@ Conventions used throughout the package:
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cache
 
 from .errors import DomainError, NoSolution
@@ -51,16 +51,28 @@ def linear_to_dbm(p_linear):
 
 
 @cache
-def _numeric_fields(cls):
-    return tuple(f.name for f in fields(cls) if f.type in (float, int))
+def _checked_fields(cls):
+    """(name, its record class, or None for a float or int field)."""
+    return tuple((f.name, f.type if is_dataclass(f.type) else None) for f in fields(cls)
+                 if f.type in (float, int) or is_dataclass(f.type))
 
 
-def require_finite(obj):
-    """Raise DomainError if a float or int field of a dataclass is NaN,
-    infinite or an int beyond the float range."""
-    for name in _numeric_fields(type(obj)):
-        if not abs(getattr(obj, name)) <= sys.float_info.max:
-            raise DomainError(f"{name} must be finite: {getattr(obj, name)}")
+def check_fields(obj, positive=()):
+    """Raise DomainError unless each float or int field of a dataclass holds
+    an int or float inside the float range (not NaN or infinite), each field
+    typed with a record class holds an instance of it, and each field named
+    in ``positive`` is above 0."""
+    for name, record in _checked_fields(type(obj)):
+        value = getattr(obj, name)
+        if record is None:
+            if not (isinstance(value, (int, float)) and abs(value) <= sys.float_info.max):
+                raise DomainError(f"{name} must be finite: {value!r}")
+        elif not isinstance(value, record):
+            raise DomainError(f"{name} must be of type {record.__name__}: {value!r}")
+    for name in positive:
+        value = getattr(obj, name)
+        if not value > 0:
+            raise DomainError(f"{name} must be positive: {value}")
 
 
 def cos_misalignment(beta_deg):
@@ -80,7 +92,7 @@ class Position3D:
     z: float
 
     def __post_init__(self):
-        require_finite(self)
+        check_fields(self)
 
     def distance_to(self, other):
         return math.dist((self.x, self.y, self.z), (other.x, other.y, other.z))
@@ -94,9 +106,7 @@ class Medium:
     sound_speed_m_s: float = SOUND_SPEED_M_S
 
     def __post_init__(self):
-        require_finite(self)
-        if self.density_kg_m3 <= 0.0 or self.sound_speed_m_s <= 0.0:
-            raise DomainError("medium density and sound speed must be positive")
+        check_fields(self, positive=("density_kg_m3", "sound_speed_m_s"))
 
 
 def propagation_delay(link, distance_m):

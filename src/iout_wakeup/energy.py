@@ -11,7 +11,7 @@ hour they cause.
 import math
 from dataclasses import dataclass, replace
 
-from .core import ACOUSTIC, MI, OPTICAL, require_finite
+from .core import ACOUSTIC, MI, OPTICAL, check_fields
 from .errors import DomainError, PolicyError
 
 NO_WAKEUP = "no_wakeup"
@@ -29,16 +29,12 @@ class EnergyProfile:
     active_duration_s: float    # per transmission burst
 
     def __post_init__(self):
-        require_finite(self)
-        if self.battery_capacity_mah <= 0.0:
-            raise DomainError(f"battery capacity must be positive: {self.battery_capacity_mah}")
+        check_fields(self, positive=("battery_capacity_mah", "active_duration_s"))
         if not self.active_current_ma > self.sleep_current_ma > 0.0:
             raise DomainError(
                 f"need active > sleep > 0: active={self.active_current_ma} mA, "
                 f"sleep={self.sleep_current_ma} mA"
             )
-        if self.active_duration_s <= 0.0:
-            raise DomainError(f"active duration must be positive: {self.active_duration_s}")
 
 
 # Reference hardware profiles per wake-up technology (capacity mAh,
@@ -61,7 +57,7 @@ class WakePolicy:
     rate_per_hour: float = 0.0  # transmissions per hour; unused for NO_WAKEUP
 
     def __post_init__(self):
-        require_finite(self)
+        check_fields(self)
         if self.kind not in (NO_WAKEUP, DUTY_CYCLE, ON_DEMAND):
             raise PolicyError(f"unknown policy kind: {self.kind}")
         if self.kind != NO_WAKEUP and self.rate_per_hour < 0.0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import log10
 
-from .core import LIGHT_SPEED_M_S, NEG_INF_DBM, LinkLaw, cos_misalignment, require_finite
+from .core import LIGHT_SPEED_M_S, NEG_INF_DBM, LinkLaw, check_fields, cos_misalignment
 from .errors import DomainError
 
 MU0_H_PER_M = 4.0e-7 * math.pi
@@ -47,20 +47,10 @@ class MiLinkParams(LinkLaw):
     default_sensitivity_dbm = -69.0
 
     def __post_init__(self):
-        require_finite(self)
-        for name in (
-            "transmit_power_mw",
-            "frequency_khz",
-            "permeability_h_per_m",
-            "turns_tx",
-            "turns_rx",
-            "coil_radius_tx_m",
-            "coil_radius_rx_m",
-            "unit_coil_resistance_ohm_per_m",
-        ):
-            value = getattr(self, name)
-            if value <= 0:
-                raise DomainError(f"{name} must be positive: {value}")
+        check_fields(self, positive=(
+            "transmit_power_mw", "frequency_khz", "permeability_h_per_m", "turns_tx",
+            "turns_rx", "coil_radius_tx_m", "coil_radius_rx_m", "unit_coil_resistance_ohm_per_m",
+        ))
         # A misalignment outside [0, 90] raises here.
         if not self.geometry_db < math.inf:
             raise DomainError(

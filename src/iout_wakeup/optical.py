@@ -18,7 +18,7 @@ from enum import Enum
 from functools import cached_property
 from math import log10
 
-from .core import LIGHT_SPEED_M_S, NEG_INF_DBM, LinkLaw, cos_misalignment, require_finite
+from .core import LIGHT_SPEED_M_S, NEG_INF_DBM, LinkLaw, check_fields, cos_misalignment
 from .errors import DomainError
 
 DB_PER_NEPER = 10.0 / math.log(10.0)  # exp(-c*d) expressed in dB: -DB_PER_NEPER*c*d
@@ -69,11 +69,7 @@ class OpticalLinkParams(LinkLaw):
     default_sensitivity_dbm = -53.0
 
     def __post_init__(self):
-        require_finite(self)
-        if self.transmit_power_mw <= 0.0:
-            raise DomainError(f"transmit power must be positive: {self.transmit_power_mw} mW")
-        if self.aperture_area_m2 <= 0.0:
-            raise DomainError(f"aperture area must be positive: {self.aperture_area_m2} m^2")
+        check_fields(self, positive=("transmit_power_mw", "aperture_area_m2"))
         if not 0.0 < self.divergence_half_angle_deg < 90.0:
             raise DomainError(
                 f"divergence half-angle must be in (0, 90): {self.divergence_half_angle_deg} deg"

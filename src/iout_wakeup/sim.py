@@ -38,8 +38,8 @@ from .core import (
     TECHNOLOGIES,
     Medium,
     Position3D,
+    check_fields,
     propagation_delay,
-    require_finite,
 )
 from .energy import DEFAULT_ENERGY, EnergyProfile, WakePolicy, lifetime_hours
 from .errors import ConfigError, DomainError
@@ -104,9 +104,18 @@ def _to_ns(seconds):
 
 
 def _valid_horizon(horizon_s):
-    """A horizon must last at least one whole nanosecond, and its
-    nanosecond count must be finite."""
-    return horizon_s > 0.0 and 0 < _to_ns(horizon_s) < math.inf
+    """A horizon is a number that lasts at least one whole nanosecond, and
+    its nanosecond count must be finite."""
+    return (isinstance(horizon_s, (int, float)) and horizon_s > 0.0
+            and 0 < _to_ns(horizon_s) < math.inf)
+
+
+def _check_address(address, what):
+    # an exact int, as in a scenario: 1, 1.0 and True are one dict key
+    if type(address) is not int:
+        raise ConfigError(f"{what} must be an integer: {address}")
+    if not 0 <= address <= MAX_ADDRESS:
+        raise ConfigError(f"{what} out of 16-bit range: {address}")
 
 
 @dataclass(frozen=True)
@@ -132,12 +141,8 @@ class Node:
             object.__setattr__(self, "sensitivity_dbm", link_type.default_sensitivity_dbm)
         if self.energy is None:
             object.__setattr__(self, "energy", DEFAULT_ENERGY[self.technology])
-        require_finite(self)
-        # exact ints only, as in a scenario: 1, 1.0 and True are one dict key
-        if type(self.address) is not int:
-            raise ConfigError(f"address must be an integer: {self.address}")
-        if not 0 <= self.address <= MAX_ADDRESS:
-            raise ConfigError(f"address out of 16-bit range: {self.address}")
+        check_fields(self)
+        _check_address(self.address, "address")
         if self.position.z <= 0.0:
             raise ConfigError(f"node above surface: z={self.position.z}")
 
@@ -153,6 +158,7 @@ class Buoy:
     rf_sensitivity_dbm: float = -100.0
 
     def __post_init__(self):
+        check_fields(self)
         if self.position.z != 0.0:
             raise ConfigError(f"buoy not at surface: z={self.position.z}")
         for tech in self.transmitters:
@@ -171,7 +177,7 @@ class Uav:
     rf_range_m: float = 1000.0
 
     def __post_init__(self):
-        require_finite(self)
+        check_fields(self)
         if self.position.z >= 0.0:
             raise ConfigError(f"uav not above surface: z={self.position.z}")
         if not self.rf_range_m > 0.0:
@@ -186,12 +192,11 @@ class WakeRequest:
     target_address: int
 
     def __post_init__(self):
+        if not isinstance(self.time_s, (int, float)):
+            raise ConfigError(f"request time must be a number: {self.time_s!r}")
         if not self.time_s >= 0.0:
             raise ConfigError(f"wake request before t=0: {self.time_s}")
-        if type(self.target_address) is not int:
-            raise ConfigError(f"request address must be an integer: {self.target_address}")
-        if not 0 <= self.target_address <= MAX_ADDRESS:
-            raise ConfigError(f"request address out of 16-bit range: {self.target_address}")
+        _check_address(self.target_address, "request address")
 
 
 @dataclass
@@ -318,7 +323,7 @@ class _NodeRuntime:
 def _validate(config: SimConfig):
     """The rules that span records; each record checks its own fields."""
     if not _valid_horizon(config.horizon_s):
-        raise ConfigError(f"horizon must be positive and finite in whole ns: {config.horizon_s}")
+        raise ConfigError(f"horizon must be positive and finite in whole ns: {config.horizon_s!r}")
     horizon_s = _to_ns(config.horizon_s) / _NS
     if config.uav is None:
         raise ConfigError("config needs a uav")
@@ -565,10 +570,10 @@ def simulate_lifetime(node: Node, wake_rate_per_hour, horizon_hours):
     lifetime_hours(node.energy, WakePolicy.on_demand(wake_rate_per_hour))
     # An int horizon stays an int, so one beyond the float range is
     # rejected below instead of raising OverflowError here.
-    horizon_s = horizon_hours * 3600
+    horizon_s = horizon_hours * 3600 if isinstance(horizon_hours, (int, float)) else None
     if not _valid_horizon(horizon_s):
         raise ConfigError(
-            f"horizon must be positive and finite in whole ns: {horizon_hours} h"
+            f"horizon must be positive and finite in whole ns: {horizon_hours!r} h"
         )
     requests = []
     if wake_rate_per_hour > 0.0:

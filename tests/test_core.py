@@ -57,10 +57,10 @@ def test_position_rejects_non_finite():
 
 
 def test_medium_validation():
-    with pytest.raises(DomainError):
-        Medium(density_kg_m3=0.0)
-    with pytest.raises(DomainError):
-        Medium(sound_speed_m_s=-1.0)
+    for name in ("density_kg_m3", "sound_speed_m_s"):
+        for value in (0, -1):
+            with pytest.raises(DomainError, match=f"^{name} must be positive: {value}$"):
+                Medium(**{name: value})
 
 
 def test_profile_speeds():

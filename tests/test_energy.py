@@ -1,6 +1,7 @@
 """Closed-form lifetime under the three wake policies."""
 
 import random
+from dataclasses import replace
 from math import inf, nan
 
 import pytest
@@ -119,12 +120,12 @@ def test_active_charge_ratio_needs_positive_rates():
 
 
 def test_profile_validation():
-    with pytest.raises(DomainError):
-        EnergyProfile(0.0, 0.5, 0.015, 1.0)
+    for name in ("battery_capacity_mah", "active_duration_s"):
+        for value in (0, -1):
+            with pytest.raises(DomainError, match=f"^{name} must be positive: {value}$"):
+                replace(ACOUSTIC_ENERGY, **{name: value})
     with pytest.raises(DomainError):
         EnergyProfile(950.0, 0.015, 0.5, 1.0)  # active below sleep
-    with pytest.raises(DomainError):
-        EnergyProfile(950.0, 0.5, 0.015, 0.0)
     for fields in ((nan, 0.5, 0.015, 1.0), (950.0, inf, 0.015, 1.0), (950.0, 0.5, 0.015, inf)):
         with pytest.raises(DomainError, match="must be finite"):
             EnergyProfile(*fields)

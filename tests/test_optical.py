@@ -144,8 +144,10 @@ def test_sweep_matches_scalar():
 def test_domain_and_param_validation():
     with pytest.raises(DomainError):
         received_power_dbm(OpticalLinkParams(), 0.0)
-    with pytest.raises(DomainError):
-        OpticalLinkParams(transmit_power_mw=0.0)
+    for name in ("transmit_power_mw", "aperture_area_m2"):
+        for value in (0, -1):
+            with pytest.raises(DomainError, match=f"^{name} must be positive: {value}$"):
+                OpticalLinkParams(**{name: value})
     with pytest.raises(DomainError):
         OpticalLinkParams(divergence_half_angle_deg=90.0)
     for beta in (91.0, 90.000001, -1e-9):

@@ -375,38 +375,53 @@ def test_simulated_lifetime_matches_the_closed_form(case):
 # records over the full numeric ranges
 
 _ANY_NUMBER = st.one_of(st.floats(), st.integers(-10**400, 10**400))  # NaN, +-inf too
+# What a caller may pass where a number belongs: a number, or a short
+# string, None, a list or a bool (an int, so a valid number).
+_ANY_VALUE = st.one_of(_ANY_NUMBER, st.text(max_size=3), st.none(), st.just([]), st.booleans())
 
 
 @st.composite
 def _record_fields(draw):
     """The field values of a UAV, buoys, nodes and requests, unbuilt, so
     that the test sees what each constructor raises.  Each number is any
-    float or int up to +-10**400 at a drawn rate (from none to all),
-    else one of a few values a valid record holds."""
+    value (any float or int up to +-10**400, or a string, None, a list or a
+    bool) at a drawn rate (from none to all), else one of a few values a
+    valid record holds.  At the same rate a position is a bare tuple and a
+    node's energy a dict instead of a profile."""
     wild_percent = draw(st.sampled_from([0, 3, 10, 30, 100]))
 
-    def number(*plausible):
-        if draw(st.integers(0, 99)) < wild_percent:
-            return draw(_ANY_NUMBER)
-        return draw(st.sampled_from(plausible))
+    def wild():
+        return draw(st.integers(0, 99)) < wild_percent
 
-    uav = (number(0.0, 20.0), number(0.0), number(-10.0)), number(50.0, 300.0)
+    def number(*plausible):
+        return draw(_ANY_VALUE) if wild() else draw(st.sampled_from(plausible))
+
+    def position(*xyz):  # (whether bare, the coordinates)
+        return wild(), xyz
+
+    uav = position(number(0.0, 20.0), number(0.0), number(-10.0)), number(50.0, 300.0)
     buoys = [
-        ((number(0.0, 40.0), number(0.0), number(0.0, -0.0)),
+        (position(number(0.0, 40.0), number(0.0), number(0.0, -0.0)),
          tuple(draw(st.permutations(TECHNOLOGIES))[:draw(st.integers(0, 3))]),
          number(-100.0))
         for _ in range(draw(st.integers(1, 2)))
     ]
     nodes = [
         (number(0, 1, 2, 65535), draw(st.sampled_from(TECHNOLOGIES)),
-         (number(0.0, 20.0), number(0.0), number(10.0, 50.0)),
-         None if draw(st.booleans()) else number(-120.0, -20.0))
+         position(number(0.0, 20.0), number(0.0), number(10.0, 50.0)),
+         None if draw(st.booleans()) else number(-120.0, -20.0),
+         {"battery_capacity_mah": 950.0} if wild() else None)
         for _ in range(draw(st.integers(1, 3)))
     ]
     requests = [
         (number(0.0, 0.5, 1.0), number(0, 1, 2, 999)) for _ in range(draw(st.integers(0, 3)))
     ]
     return uav, buoys, nodes, requests
+
+
+def _position(drawn):
+    bare, xyz = drawn
+    return xyz if bare else Position3D(*xyz)
 
 
 # The ConfigError messages of the rules that span records and that these
@@ -420,14 +435,14 @@ def test_records_are_valid_or_raise_a_typed_error(drawn):
     """Each record checks its own fields: its constructor raises DomainError
     or ConfigError, or the record is valid, and a config of valid records
     runs or breaks only a rule that spans records."""
-    (uav_xyz, rf_range_m), buoys, nodes, requests = drawn
+    (uav_position, rf_range_m), buoys, nodes, requests = drawn
     try:
         config = SimConfig(
-            uav=Uav(Position3D(*uav_xyz), rf_range_m),
-            buoys=[Buoy(Position3D(*xyz), techs, rf_sensitivity_dbm=rf_dbm)
-                   for xyz, techs, rf_dbm in buoys],
-            nodes=[Node(address, Position3D(*xyz), tech, sensitivity_dbm=dbm)
-                   for address, tech, xyz, dbm in nodes],
+            uav=Uav(_position(uav_position), rf_range_m),
+            buoys=[Buoy(_position(position), techs, rf_sensitivity_dbm=rf_dbm)
+                   for position, techs, rf_dbm in buoys],
+            nodes=[Node(address, _position(position), tech, sensitivity_dbm=dbm, energy=energy)
+                   for address, tech, position, dbm, energy in nodes],
             wake_requests=[WakeRequest(time_s, address) for time_s, address in requests],
             horizon_s=5.0,
         )

@@ -20,7 +20,12 @@ from iout_wakeup.energy import (
     lifetime_hours,
 )
 from iout_wakeup.errors import ConfigError, DomainError, PolicyError
-from iout_wakeup.scenario import write_events_csv, write_summary_csv
+from iout_wakeup.scenario import (
+    parse_scenario_text,
+    scenario_to_json,
+    write_events_csv,
+    write_summary_csv,
+)
 from iout_wakeup.sim import (
     ACTIVE,
     ADDRESS_MISMATCH,
@@ -303,6 +308,23 @@ def test_config_rejects_repeated_transmitter():
         Buoy(Position3D(0.0, 0.0, 0.0), transmitters=("acoustic", "mi", "acoustic"))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400, "x", None],
+                         ids=["nan", "inf", "-inf", "int-beyond-float", "string", "none"])
+def test_buoy_rejects_a_non_finite_rf_sensitivity(value):
+    with pytest.raises(DomainError, match="^rf_sensitivity_dbm must be finite: "):
+        Buoy(Position3D(0.0, 0.0, 0.0), rf_sensitivity_dbm=value)
+
+
+@pytest.mark.parametrize("value", [-100.0, -90, -sys.float_info.max, 10**300],
+                         ids=["default", "int", "float-min", "int-near-float-max"])
+def test_a_buoy_that_builds_round_trips(value):
+    buoy = Buoy(Position3D(0.0, 0.0, 0.0), rf_sensitivity_dbm=value)
+    config = _config([make_node("acoustic", address=1, depth_m=100.0)], [WakeRequest(0.0, 1)])
+    config.buoys = [buoy]
+    parsed = parse_scenario_text(scenario_to_json(config))
+    assert parsed.buoys[0].rf_sensitivity_dbm == float(value)
+
+
 def test_config_rejects_node_above_surface():
     with pytest.raises(ConfigError):
         run(_config([make_node("acoustic", depth_m=-5.0)], []))
@@ -330,12 +352,28 @@ def test_config_rejects_node_above_surface():
         (lambda c: make_node("acoustic", address=float("nan")), DomainError),
         (lambda c: WakeRequest(0.0, 1.5), ConfigError),
         (lambda c: WakeRequest(0.0, True), ConfigError),
+        # a value that is not a number, a position or a profile is a typed
+        # error, not a TypeError or an AttributeError
+        (lambda c: setattr(c, "horizon_s", "10"), ConfigError),
+        (lambda c: setattr(c, "horizon_s", None), ConfigError),
+        (lambda c: WakeRequest("0", 1), ConfigError),
+        (lambda c: WakeRequest(None, 1), ConfigError),
+        (lambda c: make_node("acoustic", address="1"), DomainError),
+        (lambda c: make_node("acoustic", sensitivity_dbm=[]), DomainError),
+        (lambda c: Position3D(None, 0.0, 1.0), DomainError),
+        (lambda c: Node(1, (0.0, 0.0, 10.0), "acoustic"), DomainError),
+        (lambda c: Uav((0.0, 0.0, -10.0)), DomainError),
+        (lambda c: make_node("acoustic", energy={"battery_capacity_mah": 950.0}), DomainError),
+        (lambda c: make_node("acoustic", energy="x"), DomainError),
     ],
     ids=["nan-horizon", "inf-horizon", "horizon-beyond-ns", "int-horizon-beyond-float",
          "horizon-under-1-ns", "nan-rf-range",
          "nan-sensitivity", "nan-request-time", "int-sensitivity-beyond-float",
          "float-address", "integral-float-address", "bool-address", "nan-address",
-         "float-request-address", "bool-request-address"],
+         "float-request-address", "bool-request-address",
+         "string-horizon", "none-horizon", "string-request-time", "none-request-time",
+         "string-address", "list-sensitivity", "none-coordinate", "tuple-node-position",
+         "tuple-uav-position", "dict-energy", "string-energy"],
 )
 def test_config_rejects_non_finite_values(change, error):
     config = _config([make_node("acoustic", address=1, depth_m=100.0)], [])
@@ -403,9 +441,10 @@ def test_simulate_lifetime_rejects_overfull_hour():
 
 @pytest.mark.parametrize(
     "hours",
-    [float("nan"), float("inf"), -float("inf"), 0.0, -1.0, 1e-13, 1e300, 10**400],
+    [float("nan"), float("inf"), -float("inf"), 0.0, -1.0, 1e-13, 1e300, 10**400,
+     "1", None, []],
     ids=["nan", "inf", "-inf", "zero", "negative", "under-1-ns", "ns-beyond-float",
-         "int-beyond-float"],
+         "int-beyond-float", "string", "none", "list"],
 )
 def test_simulate_lifetime_rejects_bad_horizons(hours):
     with pytest.raises(ConfigError, match="horizon"):
