@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import fields
 from functools import cache, partial
-from itertools import chain
+from itertools import chain, islice
 
 from .core import TECHNOLOGIES, LinkLaw, Medium, Position3D
 from .energy import EnergyProfile, energy_profile
@@ -261,11 +261,18 @@ def load_preset(name) -> SimConfig:
 # ---------------------------------------------------------------------------
 # CSV emission
 
+# Lines joined per write: one call per block, not per line, and memory for
+# one block of rows, not the whole file.
+_BLOCK_LINES = 1024
+
+
 def _write_csv(path, lines):
     """Write the rendered lines of a CSV (any iterable, header first, each
     line ending in a newline)."""
+    lines = iter(lines)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(lines)
+        while block := "".join(islice(lines, _BLOCK_LINES)):
+            fh.write(block)
 
 
 def write_range_sweep_csv(path, distances_m, powers_dbm):

@@ -13,8 +13,13 @@ Determinism: event times are integer nanoseconds and the queue is totally
 ordered by (time, event-kind priority, actor id, insertion sequence).
 State transitions at a timestamp are processed before signal arrivals at
 the same timestamp, so back-to-back wake schedules keep a node
-continuously active; arrivals precede fresh emissions.  The engine is
-seedless; identical configs produce identical reports.
+continuously active; arrivals precede fresh emissions.  A broadcast is one
+queue entry with one insertion sequence: its link table is sorted by
+(delay, address), and the entry handles the arrivals in that order, each
+at the point where a queue entry of its own would be popped.  A
+node found depleted while settling logs the depletion in its place in
+time order.  The engine is seedless; identical configs produce identical
+reports.
 
 Buoy energy is not metered (surface nodes harvest); only node-side charge
 is accounted, exactly: consumed = I_active*t_active/3600 + I_sleep*t_sleep/3600.
@@ -24,6 +29,7 @@ import gc
 import itertools
 import math
 import sys
+from bisect import insort
 from dataclasses import dataclass, field, fields
 from heapq import heappop, heappush
 from operator import attrgetter, itemgetter
@@ -60,8 +66,10 @@ _FLOAT_MAX = sys.float_info.max
 # sequence, *payload): its priority also names its kind.  The queue holds
 # at most one request, the next in (whole ns, config order): popping it
 # pushes the one after, so the requests keep the order they would have
-# if all were queued at t = 0.
+# if all were queued at t = 0.  Likewise it holds at most one entry per
+# broadcast, keyed by the broadcast's next arrival.
 _PRIO_SLEEP, _PRIO_RF, _PRIO_WUS, _PRIO_REQUEST = 0, 1, 2, 3
+_TIME_NS = attrgetter("time_ns")
 
 # The link law of each technology: its params class computes received
 # power (``rx_dbm``) and states the shortest distance the law holds at, the
@@ -161,6 +169,10 @@ class Buoy:
         check_fields(self)
         if self.position.z != 0.0:
             raise ConfigError(f"buoy not at surface: z={self.position.z}")
+        if not isinstance(self.transmitters, (tuple, list)):
+            raise ConfigError(
+                f"transmitters must be a tuple of technologies: {self.transmitters!r}"
+            )
         for tech in self.transmitters:
             if tech not in TECHNOLOGIES:
                 raise ConfigError(f"unknown transmitter technology: {tech}")
@@ -311,7 +323,10 @@ class _NodeRuntime:
                 split = budget_mah / current * 3600.0 * _NS
             delta = int(min(delta, split))
             self.depleted_ns = self.last_ns + delta
-            events.append(SimEvent(self.depleted_ns, self.actor, "node_depleted", ""))
+            # found while settling, after later events may have been logged:
+            # after every event up to its instant, as a stable sort would put it
+            insort(events, SimEvent(self.depleted_ns, self.actor, "node_depleted", ""),
+                   key=_TIME_NS)
         if active:
             self.active_ns += delta
         else:
@@ -320,13 +335,26 @@ class _NodeRuntime:
         return self.depleted_ns is not None
 
 
+def _check_records(config, name, record):
+    """A list field of the config holds a list (or tuple) of ``record``s."""
+    items = getattr(config, name)
+    if not isinstance(items, (list, tuple)):
+        raise ConfigError(f"{name} must be a list: {items!r}")
+    for i, item in enumerate(items):
+        if not isinstance(item, record):
+            raise ConfigError(f"{name}[{i}] must be a {record.__name__}: {item!r}")
+
+
 def _validate(config: SimConfig):
     """The rules that span records; each record checks its own fields."""
     if not _valid_horizon(config.horizon_s):
         raise ConfigError(f"horizon must be positive and finite in whole ns: {config.horizon_s!r}")
     horizon_s = _to_ns(config.horizon_s) / _NS
-    if config.uav is None:
-        raise ConfigError("config needs a uav")
+    if not isinstance(config.uav, Uav):
+        raise ConfigError(f"uav must be a Uav: {config.uav!r}")
+    _check_records(config, "buoys", Buoy)
+    _check_records(config, "nodes", Node)
+    _check_records(config, "wake_requests", WakeRequest)
     if not config.buoys:
         raise ConfigError("config needs at least one buoy")
     seen = set()
@@ -351,7 +379,8 @@ def _validate(config: SimConfig):
 
 def _link_table(buoy, hop_ns, runtimes, technology):
     """(delay_ns, address, runtime, miss, wake) from a buoy, ``hop_ns``
-    after the UAV, to each node of a technology, in config order.  Received
+    after the UAV, to each node of a technology, sorted by (delay_ns,
+    address): the order the queue pops one broadcast's arrivals.  Received
     power and sensitivity are fixed per (buoy, node), so whether the node
     hears the buoy is decided here: ``miss`` is None if it does, else the
     finished ``wus_arrival`` and failure details, shared by every arrival
@@ -375,6 +404,7 @@ def _link_table(buoy, hop_ns, runtimes, technology):
                 latency_s = (hop_ns + delay_ns) / _NS
                 wake = (latency_s, f"latency_s={latency_s:.9f}")
             table.append((delay_ns, node.address, nrt, miss, wake))
+    table.sort(key=itemgetter(0, 1))
     return table
 
 
@@ -439,37 +469,55 @@ def _run(config: SimConfig) -> SimReport:
         kind = entry[1]
 
         # Signal arrivals are almost every entry, so they are tested first.
+        # A broadcast's entry handles its arrivals in table order while the
+        # next one still sorts before the queue's head, then goes back in
+        # keyed by the first one that does not.
         if kind == _PRIO_WUS:
-            t, _, addr, _, nrt, req, miss, wake, texts = entry
-            actor = nrt.actor
-            if nrt.can_deplete and nrt.settle(t, events):
-                events.append(SimEvent(t, actor, "wus_arrival", "depleted"))
-                failures.append(FailureRecord(t, DEPLETED, actor, texts[0]))
-                nrt.failures += 1
-            elif miss is not None:
-                events.append(SimEvent(t, actor, "wus_arrival", miss[0]))
-                failures.append(FailureRecord(t, OUT_OF_RANGE, actor, miss[1]))
-                nrt.failures += 1
-            elif req.target_address != addr:
-                events.append(SimEvent(t, actor, "wus_arrival", texts[1]))
-                failures.append(FailureRecord(t, ADDRESS_MISMATCH, actor, texts[2] + nrt.local))
-                nrt.failures += 1
-            elif nrt.state == ACTIVE:
-                # Fig-2-style interrupt targets a sleeping controller; an
-                # already-active node ignores further signals.
-                events.append(SimEvent(t, actor, "wus_arrival", "ignored_active"))
-            elif nrt.woken_by is req:
-                # Another buoy's relay of the request that already woke the
-                # node, arriving after its burst: one request, one wake.
-                events.append(SimEvent(t, actor, "wus_arrival", "duplicate_request"))
-            else:
-                if not nrt.can_deplete:
-                    nrt.settle(t, events)
-                nrt.state = ACTIVE
-                nrt.woken_by = req
-                nrt.latencies_s.append(wake[0])
-                events.append(SimEvent(t, actor, "node_wake", wake[1]))
-                heappush(heap, (t + nrt.burst_ns, _PRIO_SLEEP, addr, next(seq), nrt))
+            t, _, addr, order, i, emitted, rows, req, texts = entry
+            _, _, nrt, miss, wake = rows[i]
+            while True:
+                actor = nrt.actor
+                if nrt.can_deplete and nrt.settle(t, events):
+                    events.append(SimEvent(t, actor, "wus_arrival", "depleted"))
+                    failures.append(FailureRecord(t, DEPLETED, actor, texts[0]))
+                    nrt.failures += 1
+                elif miss is not None:
+                    events.append(SimEvent(t, actor, "wus_arrival", miss[0]))
+                    failures.append(FailureRecord(t, OUT_OF_RANGE, actor, miss[1]))
+                    nrt.failures += 1
+                elif req.target_address != addr:
+                    events.append(SimEvent(t, actor, "wus_arrival", texts[1]))
+                    failures.append(FailureRecord(t, ADDRESS_MISMATCH, actor, texts[2] + nrt.local))
+                    nrt.failures += 1
+                elif nrt.state == ACTIVE:
+                    # Fig-2-style interrupt targets a sleeping controller; an
+                    # already-active node ignores further signals.
+                    events.append(SimEvent(t, actor, "wus_arrival", "ignored_active"))
+                elif nrt.woken_by is req:
+                    # Another buoy's relay of the request that already woke the
+                    # node, arriving after its burst: one request, one wake.
+                    events.append(SimEvent(t, actor, "wus_arrival", "duplicate_request"))
+                else:
+                    if not nrt.can_deplete:
+                        nrt.settle(t, events)
+                    nrt.state = ACTIVE
+                    nrt.woken_by = req
+                    nrt.latencies_s.append(wake[0])
+                    events.append(SimEvent(t, actor, "node_wake", wake[1]))
+                    heappush(heap, (t + nrt.burst_ns, _PRIO_SLEEP, addr, next(seq), nrt))
+                i += 1
+                if i == len(rows):
+                    break
+                delay_ns, addr, nrt, miss, wake = rows[i]
+                t = emitted + delay_ns
+                if t > horizon_ns:  # and so is every later row
+                    break
+                if heap:
+                    # times first: a tuple is built only on a tie
+                    head_t = heap[0][0]
+                    if t > head_t or t == head_t and (t, _PRIO_WUS, addr, order) > heap[0]:
+                        heappush(heap, (t, _PRIO_WUS, addr, order, i, emitted, rows, req, texts))
+                        break
 
         elif kind == _PRIO_SLEEP:
             t, nrt = entry[0], entry[4]
@@ -493,10 +541,11 @@ def _run(config: SimConfig) -> SimReport:
                 techs = tables
             for tech in techs:
                 events.append(SimEvent(t, actor, "wus_emit", f"tech={tech} {texts[0]}"))
-                for delay_ns, addr, nrt, miss, wake in tables[tech]:
+                rows = tables[tech]
+                if rows:
+                    delay_ns, addr = rows[0][:2]
                     heappush(
-                        heap,
-                        (t + delay_ns, _PRIO_WUS, addr, next(seq), nrt, req, miss, wake, texts),
+                        heap, (t + delay_ns, _PRIO_WUS, addr, next(seq), 0, t, rows, req, texts)
                     )
 
         else:  # a request
@@ -513,12 +562,6 @@ def _run(config: SimConfig) -> SimReport:
 
     for nrt in runtimes.values():
         nrt.settle(horizon_ns, events)
-
-    # Every other event is logged in time order.  Depletions are discovered
-    # while settling, possibly after later-timed entries were already
-    # logged; a stable sort restores chronology.
-    if any(nrt.depleted_ns is not None for nrt in runtimes.values()):
-        events.sort(key=attrgetter("time_ns"))
 
     node_reports = {}
     for addr in sorted(runtimes):

@@ -40,7 +40,7 @@ from iout_wakeup.sim import (
     simulate_lifetime,
 )
 
-# Multiplies the example count of the four properties below (and nothing
+# Multiplies the example count of the five properties below (and nothing
 # else), so one CI leg can search longer; 1 when unset.
 SCALE = int(os.environ.get("IOUT_ORACLE_EXAMPLES_SCALE", "1"))
 
@@ -268,15 +268,38 @@ def _flat_while_woken():
     )
 
 
+def _twin_relays():
+    """Two buoys at one spot relay one request to two nodes at one depth,
+    listed against address order: every signal arrives at the same ns, and
+    only (address, broadcast) orders the four arrivals."""
+    buoy = Buoy(Position3D(0.0, 0.0, 0.0), transmitters=("acoustic",))
+    return SimConfig(
+        uav=Uav(Position3D(0.0, 0.0, -10.0), rf_range_m=100.0),
+        buoys=[buoy, buoy],
+        nodes=[make_node("acoustic", address=2), make_node("acoustic", address=1)],
+        wake_requests=[WakeRequest(0.0, 1)],
+        horizon_s=2.0,
+    )
+
+
 @settings(max_examples=200 * SCALE, deadline=None)
 @given(_config())
 @example(_flat_while_woken())
+@example(_twin_relays())
 def test_engine_matches_the_reference_engine(config):
     report = run(config)
     events, failures, nodes = reference_run(config)
     assert report.events == events
     assert report.failures == failures
     assert report.nodes == nodes
+
+
+@settings(max_examples=200 * SCALE, deadline=None)
+@given(_config())
+@example(_flat_while_woken())
+def test_events_are_logged_in_time_order(config):
+    times = [event.time_ns for event in run(config).events]
+    assert times == sorted(times)
 
 
 @settings(max_examples=300 * SCALE, deadline=None)

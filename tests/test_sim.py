@@ -382,6 +382,30 @@ def test_config_rejects_non_finite_values(change, error):
         run(config)
 
 
+# A library caller's config or buoy holding something other than the records
+# it lists: a ConfigError naming the field, not an AttributeError or TypeError.
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        (lambda c: setattr(c, "uav", "x"), r"^uav must be a Uav: 'x'$"),
+        (lambda c: setattr(c, "nodes", None), r"^nodes must be a list: None$"),
+        (lambda c: setattr(c, "wake_requests", None), r"^wake_requests must be a list: None$"),
+        (lambda c: c.nodes.append("x"), r"^nodes\[1\] must be a Node: 'x'$"),
+        (lambda c: setattr(c, "buoys", [c.uav]), r"^buoys\[0\] must be a Buoy: Uav\("),
+        (lambda c: c.wake_requests.append(1), r"^wake_requests\[1\] must be a WakeRequest: 1$"),
+        (lambda c: Buoy(Position3D(0.0, 0.0, 0.0), transmitters=5),
+         r"^transmitters must be a tuple of technologies: 5$"),
+    ],
+    ids=["string-uav", "none-nodes", "none-requests", "string-node", "uav-as-buoy",
+         "int-request", "int-transmitters"],
+)
+def test_config_rejects_a_value_that_is_not_its_record(change, message):
+    config = _config([make_node("acoustic", address=1, depth_m=100.0)], [WakeRequest(0.0, 1)])
+    with pytest.raises(ConfigError, match=message):
+        change(config)
+        run(config)
+
+
 def test_config_rejects_wide_addresses():
     with pytest.raises(ConfigError):
         run(_config([make_node("acoustic", address=70_000)], []))
