@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cache
 
-from .errors import DomainError, NoSolution
+from .errors import ConfigError, DomainError, NoSolution
 
 # dBm value meaning "no received power at all" (linear power 0).
 NEG_INF_DBM = float("-inf")
@@ -32,6 +32,8 @@ TECHNOLOGIES = (ACOUSTIC, OPTICAL, MI)
 # A sweep, rate grid or request list longer than this is refused rather
 # than allocated.
 MAX_POINTS = 1_000_000
+
+_FLOAT_MAX = sys.float_info.max
 
 
 def dbm_to_linear(p_dbm):
@@ -50,28 +52,61 @@ def linear_to_dbm(p_linear):
     return 10.0 * math.log10(p_linear)
 
 
+def by_technology(table, technology):
+    """``table[technology]``; ConfigError unless it is one of TECHNOLOGIES."""
+    if technology not in TECHNOLOGIES:
+        raise ConfigError(f"unknown technology: {technology}")
+    return table[technology]
+
+
+def is_number(value):
+    """Whether a float field takes ``value``: an int or float, not a bool, in the float range."""
+    return isinstance(value, (int, float)) and type(value) is not bool and abs(value) <= _FLOAT_MAX
+
+
+_KIND_NAMES = {float: "a number", int: "an integer", bool: "a boolean"}
+
+
+def field_value(name, kind, value):
+    """What a field of type ``kind`` holds when given ``value``.  A float
+    field holds a float (an int is converted), an int field an exact int:
+    DomainError if the value is not a number inside the float range,
+    ConfigError if it is a bool or a float in an int field.  A bool field
+    holds a bool, else ConfigError; a record-class field an instance of it,
+    else DomainError."""
+    if kind not in _KIND_NAMES:  # a record class
+        if isinstance(value, kind):
+            return value
+        raise DomainError(f"{name} must be of type {kind.__name__}: {value!r}")
+    if type(value) is bool:
+        if kind is bool:
+            return value
+    elif kind is not bool:
+        if not is_number(value):
+            raise DomainError(f"{name} must be finite: {value!r}")
+        if kind is float or type(value) is int:
+            return kind(value)
+    raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}: {value!r}")
+
+
 @cache
 def _checked_fields(cls):
-    """(name, its record class, or None for a float or int field)."""
-    return tuple((f.name, f.type if is_dataclass(f.type) else None) for f in fields(cls)
-                 if f.type in (float, int) or is_dataclass(f.type))
+    """(name, type, whether a number) of each float, int, bool or record-class field."""
+    return tuple((f.name, f.type, f.type in (float, int)) for f in fields(cls)
+                 if f.type in (float, int, bool) or is_dataclass(f.type))
 
 
 def check_fields(obj, positive=()):
-    """Raise DomainError unless each float or int field of a dataclass holds
-    an int or float inside the float range (not NaN or infinite), each field
-    typed with a record class holds an instance of it, and each field named
-    in ``positive`` is above 0."""
-    for name, record in _checked_fields(type(obj)):
-        value = getattr(obj, name)
-        if record is None:
-            if not (isinstance(value, (int, float)) and abs(value) <= sys.float_info.max):
-                raise DomainError(f"{name} must be finite: {value!r}")
-        elif not isinstance(value, record):
-            raise DomainError(f"{name} must be of type {record.__name__}: {value!r}")
-    for name in positive:
-        value = getattr(obj, name)
-        if not value > 0:
+    """Hold each float, int, bool or record-class field of a dataclass to
+    ``field_value``'s rule, storing what it holds, and raise DomainError
+    (naming the value as given) unless each field in ``positive`` is above 0."""
+    for name, kind, number in _checked_fields(type(obj)):
+        value = held = getattr(obj, name)
+        # the common case, held as it is: a value of the field's type, in range if a number
+        if type(value) is not kind or number and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            held = field_value(name, kind, value)
+            object.__setattr__(obj, name, held)
+        if positive and name in positive and not held > 0:
             raise DomainError(f"{name} must be positive: {value}")
 
 

@@ -11,7 +11,7 @@ hour they cause.
 import math
 from dataclasses import dataclass, replace
 
-from .core import ACOUSTIC, MI, OPTICAL, check_fields
+from .core import ACOUSTIC, MI, OPTICAL, by_technology, check_fields
 from .errors import DomainError, PolicyError
 
 NO_WAKEUP = "no_wakeup"
@@ -48,7 +48,7 @@ DEFAULT_ENERGY = {ACOUSTIC: ACOUSTIC_ENERGY, OPTICAL: OPTICAL_ENERGY, MI: MI_ENE
 
 def energy_profile(technology, **given):
     """The reference profile of a technology with the given fields replaced."""
-    return replace(DEFAULT_ENERGY[technology], **given)
+    return replace(by_technology(DEFAULT_ENERGY, technology), **given)
 
 
 @dataclass(frozen=True)

@@ -13,15 +13,13 @@ repeated runs produce byte-identical files.
 
 import json
 import os
-import sys
 from dataclasses import fields
-from functools import cache, partial
+from functools import partial
 from itertools import chain, islice
 
-from .core import TECHNOLOGIES, LinkLaw, Medium, Position3D
+from .core import TECHNOLOGIES, LinkLaw, Medium, Position3D, by_technology, field_value
 from .energy import EnergyProfile, energy_profile
 from .errors import ConfigError, DomainError, ParseError, ValidationError
-from .optical import WaterType
 from .sim import Buoy, Node, SimConfig, Uav, WakeRequest, link_fields, make_link
 
 PRESET_NAMES = ("acoustic-fig3", "optical-fig4", "mi-fig5")
@@ -71,13 +69,8 @@ ENERGY_KEYS = {
     "active_s": "active_duration_s",
 }
 _REQUEST_KEYS = _keys(WakeRequest)
-_LINK_KEYS = {t: ({n: n for n in link_fields(t)}, link_fields(t)) for t in TECHNOLOGIES}
+_LINK_KEYS = {t: {n: n for n in link_fields(t)} for t in TECHNOLOGIES}
 _SCENARIO_KEYS = ("medium", "uav", "buoys", "nodes", "wake_requests", "horizon_s")
-
-
-@cache
-def _field_types(cls):
-    return {f.name: f.type for f in fields(cls)}
 
 
 def _check_keys(obj, allowed, required, path):
@@ -91,49 +84,22 @@ def _check_keys(obj, allowed, required, path):
             raise ValidationError(f"{path}: missing required key '{key}'")
 
 
-def _finite(value, kinds=(int, float)):
-    """A JSON number (not a bool) that is not NaN or infinite and fits the
-    float range (``json.loads`` accepts NaN and Infinity)."""
-    return type(value) in kinds and abs(value) <= sys.float_info.max
-
-
-def _reader(expected, accept, convert=lambda value: value):
-    def read(value, path, key):
-        if not accept(value):
-            raise ValidationError(f"{path}.{key}: expected {expected}")
-        return convert(value)
-    return read
-
-
-_WATER_TYPES = [w.value for w in WaterType]
-
-# One reader per field type.  Link and energy objects are built by the
-# node once it knows its technology.
-_READERS = {
-    float: _reader("a finite number", _finite, float),
-    int: _reader("an integer", lambda v: _finite(v, (int,))),
-    bool: _reader("a boolean", lambda v: isinstance(v, bool)),
-    str: _reader("a string", lambda v: isinstance(v, str)),
-    WaterType: _reader(f"one of {_WATER_TYPES}", lambda v: v in _WATER_TYPES, WaterType),
-    Position3D: _reader(
-        "[x, y, z] in metres",
-        lambda v: isinstance(v, list) and len(v) == 3 and all(map(_finite, v)),
-        lambda v: Position3D(*map(float, v)),
-    ),
-    tuple: _reader("a list", lambda v: isinstance(v, list), tuple),
-    object: _reader("an object", lambda v: isinstance(v, dict)),
-    EnergyProfile: _reader("an object", lambda v: isinstance(v, dict)),
-}
-
-
-def _record(make, keys, obj, path, required=(), types=None):
-    """make(**fields) from the keys obj gives, each read by the type of its
-    field (in ``types``, else in the dataclass ``make``); a value the record
-    rejects is a ValidationError at the record's path."""
+def _record(make, keys, obj, path, required=()):
+    """make(**fields) from the keys obj gives; a value the record rejects is
+    a ValidationError at its path.  A null is refused (a record would take
+    it for its default), and a position is built from an [x, y, z] list."""
     _check_keys(obj, keys, required, path)
-    types = types or _field_types(make)
-    given = {keys[k]: _READERS[types[keys[k]]](v, path, k) for k, v in obj.items()}
+    given = {}
+    for key, value in obj.items():
+        if value is None:
+            raise ValidationError(f"{path}.{key}: expected a value, not null")
+        given[keys[key]] = value
+    xyz = given.get("position")
+    if xyz is not None and not (isinstance(xyz, list) and len(xyz) == 3):
+        raise ValidationError(f"{path}.position: expected [x, y, z] in metres")
     try:
+        if xyz is not None:
+            given["position"] = Position3D(*xyz)
         return make(**given)
     except (DomainError, ConfigError) as exc:
         raise ValidationError(f"{path}: {exc}") from None
@@ -150,15 +116,13 @@ def _list(data, key, required):
 # parsing
 
 def _node(medium, path, technology, link_params=None, energy=None, **given):
-    if technology not in TECHNOLOGIES:  # before its link keys are looked up
-        raise ValidationError(f"{path}.tech: expected one of {TECHNOLOGIES}")
+    keys = by_technology(_LINK_KEYS, technology)
     link = partial(make_link, technology, medium)
-    keys, types = _LINK_KEYS[technology]
-    given["link_params"] = _record(link, keys, link_params or {}, f"{path}.link", (), types)
+    link_params = {} if link_params is None else link_params
+    given["link_params"] = _record(link, keys, link_params, f"{path}.link")
     if energy is not None:
         profile = partial(energy_profile, technology)
-        types = _field_types(EnergyProfile)
-        given["energy"] = _record(profile, ENERGY_KEYS, energy, f"{path}.energy", (), types)
+        given["energy"] = _record(profile, ENERGY_KEYS, energy, f"{path}.energy")
     return Node(technology=technology, **given)
 
 
@@ -177,7 +141,7 @@ def parse_scenario_data(data) -> SimConfig:
         uav = Uav(Position3D(above.x, above.y, -10.0))
     nodes = [
         _record(partial(_node, medium, f"nodes[{i}]"), _NODE_KEYS, raw, f"nodes[{i}]",
-                ("address", "position", "tech"), _field_types(Node))
+                ("address", "position", "tech"))
         for i, raw in enumerate(_list(data, "nodes", True))
     ]
     given = {}
@@ -187,7 +151,10 @@ def parse_scenario_data(data) -> SimConfig:
             for i, raw in enumerate(_list(data, "wake_requests", False))
         ]
     if "horizon_s" in data:
-        given["horizon_s"] = _READERS[float](data["horizon_s"], "scenario", "horizon_s")
+        try:
+            given["horizon_s"] = field_value("horizon_s", float, data["horizon_s"])
+        except (DomainError, ConfigError) as exc:
+            raise ValidationError(f"scenario: {exc}") from None
     return SimConfig(uav=uav, buoys=buoys, nodes=nodes, **given)
 
 
@@ -221,8 +188,7 @@ def _json_value(value):
     if isinstance(value, EnergyProfile):
         return _dump(value, ENERGY_KEYS)
     if isinstance(value, LinkLaw):
-        types = _field_types(type(value))
-        return {name: getattr(value, name) for name, t in types.items() if t is not Medium}
+        return {f.name: getattr(value, f.name) for f in fields(value) if f.type is not Medium}
     return value
 
 

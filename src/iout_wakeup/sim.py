@@ -44,7 +44,9 @@ from .core import (
     TECHNOLOGIES,
     Medium,
     Position3D,
+    by_technology,
     check_fields,
+    is_number,
     propagation_delay,
 )
 from .energy import DEFAULT_ENERGY, EnergyProfile, WakePolicy, lifetime_hours
@@ -85,7 +87,8 @@ def link_fields(technology):
     """Name -> type of each value ``make_link`` takes for a technology: the
     fields of its params class but a ``Medium`` one, and ``water_type``
     where the class has ``extinction_per_m``."""
-    names = {f.name: f.type for f in fields(LINK_TYPES[technology]) if f.type is not Medium}
+    cls = by_technology(LINK_TYPES, technology)
+    names = {f.name: f.type for f in fields(cls) if f.type is not Medium}
     if "extinction_per_m" in names:
         names["water_type"] = optical.WaterType
     return names
@@ -95,7 +98,7 @@ def make_link(technology, medium=Medium(), water_type=None, **given):
     """Link params of a technology from the given fields of its params class.
     ``medium`` fills a ``Medium``-typed field (links without one ignore it)
     and ``water_type`` resolves ``extinction_per_m``."""
-    cls = LINK_TYPES[technology]
+    cls = by_technology(LINK_TYPES, technology)
     if water_type is not None:
         if "extinction_per_m" in given:
             raise DomainError("give water_type or extinction_per_m, not both")
@@ -112,16 +115,12 @@ def _to_ns(seconds):
 
 
 def _valid_horizon(horizon_s):
-    """A horizon is a number that lasts at least one whole nanosecond, and
-    its nanosecond count must be finite."""
-    return (isinstance(horizon_s, (int, float)) and horizon_s > 0.0
-            and 0 < _to_ns(horizon_s) < math.inf)
+    """A horizon is a number a float field takes that lasts at least one
+    whole nanosecond, and its nanosecond count must be finite."""
+    return is_number(horizon_s) and horizon_s > 0.0 and 0 < _to_ns(horizon_s) < math.inf
 
 
 def _check_address(address, what):
-    # an exact int, as in a scenario: 1, 1.0 and True are one dict key
-    if type(address) is not int:
-        raise ConfigError(f"{what} must be an integer: {address}")
     if not 0 <= address <= MAX_ADDRESS:
         raise ConfigError(f"{what} out of 16-bit range: {address}")
 
@@ -138,9 +137,7 @@ class Node:
     energy: EnergyProfile = None  # the battery starts full
 
     def __post_init__(self):
-        if self.technology not in TECHNOLOGIES:
-            raise ConfigError(f"unknown technology: {self.technology}")
-        link_type = LINK_TYPES[self.technology]
+        link_type = by_technology(LINK_TYPES, self.technology)
         if self.link_params is None:
             object.__setattr__(self, "link_params", link_type())
         elif not isinstance(self.link_params, link_type):
@@ -149,6 +146,7 @@ class Node:
             object.__setattr__(self, "sensitivity_dbm", link_type.default_sensitivity_dbm)
         if self.energy is None:
             object.__setattr__(self, "energy", DEFAULT_ENERGY[self.technology])
+        # an exact int address, as in a scenario: 1, 1.0 and True are one dict key
         check_fields(self)
         _check_address(self.address, "address")
         if self.position.z <= 0.0:
@@ -158,7 +156,7 @@ class Node:
 @dataclass(frozen=True)
 class Buoy:
     """Surface relay at z = 0; ``transmitters`` lists the equipped
-    wake-up technologies, each at most once."""
+    wake-up technologies, each at most once (a list is stored as a tuple)."""
 
     position: Position3D
     transmitters: tuple = TECHNOLOGIES
@@ -173,6 +171,7 @@ class Buoy:
             raise ConfigError(
                 f"transmitters must be a tuple of technologies: {self.transmitters!r}"
             )
+        object.__setattr__(self, "transmitters", tuple(self.transmitters))
         for tech in self.transmitters:
             if tech not in TECHNOLOGIES:
                 raise ConfigError(f"unknown transmitter technology: {tech}")
@@ -198,14 +197,13 @@ class Uav:
 
 @dataclass(frozen=True)
 class WakeRequest:
-    """A time past the float range of whole ns (inf too) never runs."""
+    """A time past the float range of whole ns (1e300 s, say) never runs."""
 
     time_s: float
     target_address: int
 
     def __post_init__(self):
-        if not isinstance(self.time_s, (int, float)):
-            raise ConfigError(f"request time must be a number: {self.time_s!r}")
+        check_fields(self)
         if not self.time_s >= 0.0:
             raise ConfigError(f"wake request before t=0: {self.time_s}")
         _check_address(self.target_address, "request address")
@@ -612,8 +610,8 @@ def simulate_lifetime(node: Node, wake_rate_per_hour, horizon_hours):
     # raises the same PolicyError or DomainError here.
     lifetime_hours(node.energy, WakePolicy.on_demand(wake_rate_per_hour))
     # An int horizon stays an int, so one beyond the float range is
-    # rejected below instead of raising OverflowError here.
-    horizon_s = horizon_hours * 3600 if isinstance(horizon_hours, (int, float)) else None
+    # rejected below instead of raising OverflowError here, as is a bool.
+    horizon_s = horizon_hours * 3600 if is_number(horizon_hours) else None
     if not _valid_horizon(horizon_s):
         raise ConfigError(
             f"horizon must be positive and finite in whole ns: {horizon_hours!r} h"

@@ -370,13 +370,13 @@ def test_simulate_empty_requests_pure_sleep_charge(tmp_path):
         ({"tech": "mi", "link": {"frequency_khz": -1}}, {},
          "nodes[0].link: frequency_khz must be positive"),
         ({"energy": {"active_ma": 0.001}}, {}, "nodes[0].energy: need active > sleep"),
-        ({"sensitivity_dbm": float("nan")}, {}, "nodes[0].sensitivity_dbm: expected a finite"),
-        ({}, {"horizon_s": float("nan")}, "scenario.horizon_s: expected a finite number"),
+        ({"sensitivity_dbm": float("nan")}, {}, "nodes[0]: sensitivity_dbm must be finite: nan"),
+        ({}, {"horizon_s": float("nan")}, "scenario: horizon_s must be finite: nan"),
         ({}, {"horizon_s": 1e300}, "horizon must be positive and finite"),
         ({}, {"wake_requests": [{"time_s": float("inf"), "target_address": 1}]},
-         "wake_requests[0].time_s: expected a finite number"),
+         "wake_requests[0]: time_s must be finite: inf"),
         ({}, {"uav": {"position": [0, 0, -10], "rf_range_m": float("-inf")}},
-         "uav.rf_range_m: expected a finite number"),
+         "uav: rf_range_m must be finite: -inf"),
         ({"link": {"frequency_khz": 1e200}}, {},
          "nodes[0].link: absorption beyond the float range"),
         ({"tech": "mi", "link": {"turns_tx": 10**307}}, {},

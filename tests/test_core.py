@@ -56,6 +56,13 @@ def test_position_rejects_non_finite():
         Position3D(float("inf"), 0.0, 0.0)
 
 
+def test_a_float_field_holds_a_float():
+    # as in a scenario, where the JSON int 0 of a float field reads back as 0.0
+    position = Position3D(1, 0, 10**300)
+    assert [type(v) for v in (position.x, position.y, position.z)] == [float] * 3
+    assert type(Medium(1025).density_kg_m3) is float
+
+
 def test_medium_validation():
     for name in ("density_kg_m3", "sound_speed_m_s"):
         for value in (0, -1):

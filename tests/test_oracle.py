@@ -1,12 +1,14 @@
 """The simulator against two oracles, a deliberately naive reference
 engine and the closed-form lifetime of the on-demand policy, and against
-itself on the serialized config; and its records over the full numeric
-ranges."""
+itself on the serialized config; its records over the full numeric ranges
+and through the scenario format; and the closed form's two rate-based
+policies against each other."""
 
 import itertools
 import math
 import os
 import sys
+from functools import partial
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -35,12 +37,13 @@ from iout_wakeup.sim import (
     SimEvent,
     Uav,
     WakeRequest,
+    make_link,
     make_node,
     run,
     simulate_lifetime,
 )
 
-# Multiplies the example count of the five properties below (and nothing
+# Multiplies the example count of the seven properties below (and nothing
 # else), so one CI leg can search longer; 1 when unset.
 SCALE = int(os.environ.get("IOUT_ORACLE_EXAMPLES_SCALE", "1"))
 
@@ -282,10 +285,23 @@ def _twin_relays():
     )
 
 
+def _one_ns_out_of_float_order():
+    """Two requests whose times round to one ns, the later float listed
+    first: they run in config order, not in float order."""
+    return SimConfig(
+        uav=Uav(Position3D(0.0, 0.0, -10.0), rf_range_m=100.0),
+        buoys=[Buoy(Position3D(0.0, 0.0, 0.0), transmitters=("acoustic",))],
+        nodes=[make_node("acoustic", address=1), make_node("acoustic", address=2)],
+        wake_requests=[WakeRequest(math.nextafter(1.0, 2.0), 2), WakeRequest(1.0, 1)],
+        horizon_s=2.0,
+    )
+
+
 @settings(max_examples=200 * SCALE, deadline=None)
 @given(_config())
 @example(_flat_while_woken())
 @example(_twin_relays())
+@example(_one_ns_out_of_float_order())
 def test_engine_matches_the_reference_engine(config):
     report = run(config)
     events, failures, nodes = reference_run(config)
@@ -399,7 +415,7 @@ def test_simulated_lifetime_matches_the_closed_form(case):
 
 _ANY_NUMBER = st.one_of(st.floats(), st.integers(-10**400, 10**400))  # NaN, +-inf too
 # What a caller may pass where a number belongs: a number, or a short
-# string, None, a list or a bool (an int, so a valid number).
+# string, None, a list or a bool (an int, but not a number a field takes).
 _ANY_VALUE = st.one_of(_ANY_NUMBER, st.text(max_size=3), st.none(), st.just([]), st.booleans())
 
 
@@ -447,6 +463,20 @@ def _position(drawn):
     return xyz if bare else Position3D(*xyz)
 
 
+def _records(drawn):
+    """The config of ``_record_fields`` values: what a constructor raises, if one does."""
+    (uav_position, rf_range_m), buoys, nodes, requests = drawn
+    return SimConfig(
+        uav=Uav(_position(uav_position), rf_range_m),
+        buoys=[Buoy(_position(position), techs, rf_sensitivity_dbm=rf_dbm)
+               for position, techs, rf_dbm in buoys],
+        nodes=[Node(address, _position(position), tech, sensitivity_dbm=dbm, energy=energy)
+               for address, tech, position, dbm, energy in nodes],
+        wake_requests=[WakeRequest(time_s, address) for time_s, address in requests],
+        horizon_s=5.0,
+    )
+
+
 # The ConfigError messages of the rules that span records and that these
 # draws can break (the horizon and the energy profiles are fixed).
 _CROSS_RECORD = ("duplicate address", "reference distance")
@@ -458,20 +488,57 @@ def test_records_are_valid_or_raise_a_typed_error(drawn):
     """Each record checks its own fields: its constructor raises DomainError
     or ConfigError, or the record is valid, and a config of valid records
     runs or breaks only a rule that spans records."""
-    (uav_position, rf_range_m), buoys, nodes, requests = drawn
     try:
-        config = SimConfig(
-            uav=Uav(_position(uav_position), rf_range_m),
-            buoys=[Buoy(_position(position), techs, rf_sensitivity_dbm=rf_dbm)
-                   for position, techs, rf_dbm in buoys],
-            nodes=[Node(address, _position(position), tech, sensitivity_dbm=dbm, energy=energy)
-                   for address, tech, position, dbm, energy in nodes],
-            wake_requests=[WakeRequest(time_s, address) for time_s, address in requests],
-            horizon_s=5.0,
-        )
+        config = _records(drawn)
     except (DomainError, ConfigError):
         return
     try:
         run(config)
     except ConfigError as exc:
         assert any(rule in str(exc) for rule in _CROSS_RECORD), exc
+
+
+def _one_mi_node(link=None, buoy=None, horizon_s=5.0):
+    """An MI node under a buoy, woken at t = 0; its link and the buoy take
+    the given fields."""
+    return SimConfig(
+        uav=Uav(Position3D(0.0, 0.0, -10.0), rf_range_m=100.0),
+        buoys=[Buoy(Position3D(0.0, 0.0, 0.0), **(buoy or {}))],
+        nodes=[make_node("mi", link_params=make_link("mi", **(link or {})))],
+        wake_requests=[WakeRequest(0.0, 1)],
+        horizon_s=horizon_s,
+    )
+
+
+# Each case builds its config when run: a record that refuses a field raises there.
+@settings(max_examples=300 * SCALE, deadline=None)
+@given(_record_fields().map(lambda drawn: partial(_records, drawn)))
+@example(partial(_one_mi_node, link={"turns_tx": True}))
+@example(partial(_one_mi_node, link={"turns_tx": 2.5}))
+@example(partial(_one_mi_node, buoy={"rf_wakeup_enabled": "no"}))
+@example(partial(_one_mi_node, buoy={"transmitters": ["mi"]}))
+@example(partial(_one_mi_node, horizon_s=True))
+def test_a_config_that_runs_round_trips(build):
+    """Records and the scenario format hold one type rule: every config
+    whose records build and that run accepts serializes and parses back
+    to an equal config."""
+    try:
+        config = build()
+        run(config)
+    except (DomainError, ConfigError):
+        return
+    assert parse_scenario_text(scenario_to_json(config)) == config
+
+
+@settings(max_examples=200 * SCALE, deadline=None)
+@given(_lifetime_case())
+def test_duty_cycle_and_on_demand_give_one_lifetime(case):
+    """The lifetime model reads a policy's rate, not its kind: at one rate,
+    duty cycling and on-demand wake-up last equally long (the paper's
+    comparison is of their rates, in ``active_charge_ratio``)."""
+    _, profile, rate, _ = case
+    try:
+        on_demand = lifetime_hours(profile, WakePolicy.on_demand(rate))
+    except (DomainError, PolicyError):
+        assume(False)
+    assert lifetime_hours(profile, WakePolicy.duty_cycle(rate)) == on_demand

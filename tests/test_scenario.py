@@ -81,7 +81,8 @@ def test_water_type_and_extinction_are_exclusive():
 def test_unknown_water_type_rejected():
     doc = json.loads(MINIMAL)
     doc["nodes"][0].update({"tech": "optical", "link": {"water_type": "muddy"}})
-    with pytest.raises(ValidationError, match="nodes\\[0\\]\\.link\\.water_type: expected one of"):
+    message = "nodes\\[0\\]\\.link: unknown water type 'muddy': expected one of"
+    with pytest.raises(ValidationError, match=message):
         parse_scenario_text(json.dumps(doc))
 
 

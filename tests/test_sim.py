@@ -17,6 +17,7 @@ from iout_wakeup.energy import (
     DEFAULT_ENERGY,
     EnergyProfile,
     WakePolicy,
+    energy_profile,
     lifetime_hours,
 )
 from iout_wakeup.errors import ConfigError, DomainError, PolicyError
@@ -37,6 +38,7 @@ from iout_wakeup.sim import (
     SimConfig,
     Uav,
     WakeRequest,
+    link_fields,
     make_link,
     make_node,
     run,
@@ -154,7 +156,7 @@ def test_times_beyond_the_float_range_are_never_queued():
     # 1e300 s and the 1e308 m slant range overflow a float nanosecond count
     near = make_node("acoustic", address=1, depth_m=100.0)
     far = Node(2, Position3D(1e308, 0.0, 1e300), "acoustic")
-    requests = [WakeRequest(0.0, 2), WakeRequest(1e300, 1), WakeRequest(float("inf"), 1)]
+    requests = [WakeRequest(0.0, 2), WakeRequest(1e300, 1)]
     report = run(_config([near, far], requests))
     assert report.nodes[1].failures == 1  # address mismatch from the request at t = 0
     assert report.nodes[2].wakes == report.nodes[2].failures == 0
@@ -340,9 +342,13 @@ def test_config_rejects_node_above_surface():
         (lambda c: setattr(c, "horizon_s", 1e300), ConfigError),
         (lambda c: setattr(c, "horizon_s", 10**400), ConfigError),
         (lambda c: setattr(c, "horizon_s", 4e-10), ConfigError),
+        # a bool is a number of the wrong type, not a 1 s horizon
+        (lambda c: setattr(c, "horizon_s", True), ConfigError),
         (lambda c: Uav(c.uav.position, float("nan")), DomainError),
         (lambda c: make_node("acoustic", sensitivity_dbm=float("nan")), DomainError),
-        (lambda c: WakeRequest(float("nan"), 1), ConfigError),
+        (lambda c: WakeRequest(float("nan"), 1), DomainError),
+        (lambda c: WakeRequest(float("inf"), 1), DomainError),
+        (lambda c: WakeRequest(10**400, 1), DomainError),
         # an int beyond the float range is not finite either
         (lambda c: make_node("acoustic", sensitivity_dbm=10**400), DomainError),
         # an address is an exact int, as in a scenario; a NaN one is not finite
@@ -352,12 +358,19 @@ def test_config_rejects_node_above_surface():
         (lambda c: make_node("acoustic", address=float("nan")), DomainError),
         (lambda c: WakeRequest(0.0, 1.5), ConfigError),
         (lambda c: WakeRequest(0.0, True), ConfigError),
+        # each field holds the type a scenario would give it
+        (lambda c: WakeRequest(True, 1), ConfigError),
+        (lambda c: make_node("acoustic", sensitivity_dbm=True), ConfigError),
+        (lambda c: make_link("mi", turns_tx=True), ConfigError),
+        (lambda c: make_link("mi", turns_tx=2.5), ConfigError),
+        (lambda c: Buoy(Position3D(0.0, 0.0, 0.0), rf_wakeup_enabled="no"), ConfigError),
+        (lambda c: Buoy(Position3D(0.0, 0.0, 0.0), rf_wakeup_enabled=1), ConfigError),
         # a value that is not a number, a position or a profile is a typed
         # error, not a TypeError or an AttributeError
         (lambda c: setattr(c, "horizon_s", "10"), ConfigError),
         (lambda c: setattr(c, "horizon_s", None), ConfigError),
-        (lambda c: WakeRequest("0", 1), ConfigError),
-        (lambda c: WakeRequest(None, 1), ConfigError),
+        (lambda c: WakeRequest("0", 1), DomainError),
+        (lambda c: WakeRequest(None, 1), DomainError),
         (lambda c: make_node("acoustic", address="1"), DomainError),
         (lambda c: make_node("acoustic", sensitivity_dbm=[]), DomainError),
         (lambda c: Position3D(None, 0.0, 1.0), DomainError),
@@ -367,10 +380,12 @@ def test_config_rejects_node_above_surface():
         (lambda c: make_node("acoustic", energy="x"), DomainError),
     ],
     ids=["nan-horizon", "inf-horizon", "horizon-beyond-ns", "int-horizon-beyond-float",
-         "horizon-under-1-ns", "nan-rf-range",
-         "nan-sensitivity", "nan-request-time", "int-sensitivity-beyond-float",
+         "horizon-under-1-ns", "bool-horizon", "nan-rf-range",
+         "nan-sensitivity", "nan-request-time", "inf-request-time",
+         "int-request-time-beyond-float", "int-sensitivity-beyond-float",
          "float-address", "integral-float-address", "bool-address", "nan-address",
-         "float-request-address", "bool-request-address",
+         "float-request-address", "bool-request-address", "bool-request-time",
+         "bool-sensitivity", "bool-turns", "float-turns", "string-rf-enabled", "int-rf-enabled",
          "string-horizon", "none-horizon", "string-request-time", "none-request-time",
          "string-address", "list-sensitivity", "none-coordinate", "tuple-node-position",
          "tuple-uav-position", "dict-energy", "string-energy"],
@@ -416,6 +431,22 @@ def test_config_rejects_mismatched_link_params():
 
     with pytest.raises(ConfigError, match="link params do not match technology acoustic"):
         make_node("acoustic", address=1, link_params=OpticalLinkParams())
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: make_link("laser"), "laser"),
+        (lambda: link_fields("laser"), "laser"),
+        (lambda: energy_profile("laser"), "laser"),
+        (lambda: make_link(["mi"]), r"\['mi'\]"),
+    ],
+    ids=["make-link", "link-fields", "energy-profile", "unhashable-make-link"],
+)
+def test_unknown_technology_is_a_config_error(call, message):
+    # the message a Node with an unknown technology gives
+    with pytest.raises(ConfigError, match=f"^unknown technology: {message}$"):
+        call()
 
 
 def test_state_is_valid_enum_during_run():
@@ -466,9 +497,9 @@ def test_simulate_lifetime_rejects_overfull_hour():
 @pytest.mark.parametrize(
     "hours",
     [float("nan"), float("inf"), -float("inf"), 0.0, -1.0, 1e-13, 1e300, 10**400,
-     "1", None, []],
+     "1", None, [], True],
     ids=["nan", "inf", "-inf", "zero", "negative", "under-1-ns", "ns-beyond-float",
-         "int-beyond-float", "string", "none", "list"],
+         "int-beyond-float", "string", "none", "list", "bool"],
 )
 def test_simulate_lifetime_rejects_bad_horizons(hours):
     with pytest.raises(ConfigError, match="horizon"):
