@@ -9,8 +9,7 @@ never to the checkout, and the named tests must first pass on an
 unmutated copy.  Uses the standard library only; pytest and hypothesis
 run in child processes.
 
-    python tests/mutants.py           # every mutant
-    python tests/mutants.py NAME ...  # the named ones
+    python tests/mutants.py
 
 Exits 0 if each mutant is killed, 1 if one survives or cannot be run.
 """
@@ -106,13 +105,8 @@ def _imports_the_copy(copy):
     return Path(found.strip()).resolve().is_relative_to(copy.resolve())
 
 
-def main(names):
-    mutants = [m for m in MUTANTS if not names or m["name"] in names]
-    unknown = set(names) - {m["name"] for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}")
-        return 1
-    for m in mutants:
+def main():
+    for m in MUTANTS:
         count = (ROOT / m["file"]).read_text(encoding="utf-8").count(m["old"])
         if count != 1:
             print(f"{m['name']}: its text occurs {count} times in {m['file']}, not once")
@@ -123,13 +117,13 @@ def main(names):
         if not _imports_the_copy(clean):
             print("the copy's package is not the one imported: check PYTHONPATH")
             return 1
-        code, out = _pytest(clean, sorted({m["test"] for m in mutants}))
+        code, out = _pytest(clean, sorted({m["test"] for m in MUTANTS}))
         if code != 0:
             print(out)
             print("the named tests do not pass unmutated")
             return 1
     survived = 0
-    for m in mutants:
+    for m in MUTANTS:
         with tempfile.TemporaryDirectory() as tmp:
             copy = Path(tmp) / "copy"
             _copy(copy)
@@ -144,9 +138,9 @@ def main(names):
             state = "survived" if code == 0 else f"not run (pytest exit {code})"
             print(out)
             print(f"{state} {m['name']} ({m['why']}): {m['test']}")
-    print(f"{len(mutants) - survived} of {len(mutants)} mutants killed")
+    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants killed")
     return 1 if survived else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

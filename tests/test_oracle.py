@@ -10,10 +10,11 @@ import os
 import sys
 from functools import partial
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from iout_wakeup.core import LIGHT_SPEED_M_S, TECHNOLOGIES, Position3D, propagation_delay
+from iout_wakeup.core import LIGHT_SPEED_M_S, TECHNOLOGIES, Medium, Position3D, propagation_delay
 from iout_wakeup.energy import (
     DEFAULT_ENERGY,
     EnergyProfile,
@@ -21,7 +22,7 @@ from iout_wakeup.energy import (
     average_current,
     lifetime_hours,
 )
-from iout_wakeup.errors import ConfigError, DomainError, PolicyError
+from iout_wakeup.errors import ConfigError, DomainError, PolicyError, ValidationError
 from iout_wakeup.scenario import parse_scenario_text, scenario_to_json
 from iout_wakeup.sim import (
     ACTIVE,
@@ -510,6 +511,18 @@ def _one_mi_node(link=None, buoy=None, horizon_s=5.0):
     )
 
 
+def _two_media():
+    """Two acoustic nodes whose links run in different water."""
+    return SimConfig(
+        uav=Uav(Position3D(0.0, 0.0, -10.0), rf_range_m=100.0),
+        buoys=[Buoy(Position3D(0.0, 0.0, 0.0))],
+        nodes=[make_node("acoustic", address, link_params=make_link("acoustic", medium))
+               for address, medium in ((1, Medium()), (2, Medium(1025.0)))],
+        wake_requests=[WakeRequest(0.0, 1)],
+        horizon_s=5.0,
+    )
+
+
 # Each case builds its config when run: a record that refuses a field raises there.
 @settings(max_examples=300 * SCALE, deadline=None)
 @given(_record_fields().map(lambda drawn: partial(_records, drawn)))
@@ -518,14 +531,22 @@ def _one_mi_node(link=None, buoy=None, horizon_s=5.0):
 @example(partial(_one_mi_node, buoy={"rf_wakeup_enabled": "no"}))
 @example(partial(_one_mi_node, buoy={"transmitters": ["mi"]}))
 @example(partial(_one_mi_node, horizon_s=True))
+@example(_two_media)
 def test_a_config_that_runs_round_trips(build):
     """Records and the scenario format hold one type rule: every config
-    whose records build and that run accepts serializes and parses back
-    to an equal config."""
+    whose records build, that run accepts and whose links share one medium
+    serializes and parses back to an equal config.  The format has one
+    global medium, so links in two media are refused when serialized."""
     try:
         config = build()
         run(config)
     except (DomainError, ConfigError):
+        return
+    media = {v for node in config.nodes for v in vars(node.link_params).values()
+             if isinstance(v, Medium)}
+    if len(media) > 1:
+        with pytest.raises(ValidationError, match="single global medium"):
+            scenario_to_json(config)
         return
     assert parse_scenario_text(scenario_to_json(config)) == config
 
