@@ -163,13 +163,18 @@ def parse_scenario_text(text) -> SimConfig:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # an int past the digit limit, deep nesting
+        raise ParseError(f"unreadable JSON: {exc}") from None
     return parse_scenario_data(data)
 
 
 def parse_scenario(path) -> SimConfig:
     """Load, validate and default-fill a scenario JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8: {exc}") from None
     return parse_scenario_text(text)
 
 
@@ -260,7 +265,7 @@ def write_lifetime_csv(path, rows):
 
 
 def write_events_csv(path, report):
-    lines = (f"{e.time_ns / 1e9:.9f},{e.actor},{e.kind},{e.detail}\n" for e in report.events)
+    lines = report.events.lines(lambda time_ns: f"{time_ns / 1e9:.9f}", ",{},{},{}\n".format)
     _write_csv(path, chain(["time_s,actor,kind,detail\n"], lines))
 
 

@@ -21,6 +21,9 @@ node found depleted while settling logs the depletion in its place in
 time order.  The engine is seedless; identical configs produce identical
 reports.
 
+The run logs each event and failure as two ints, a time and a code (see
+``RunLog``): the records are built when the report is read.
+
 Buoy energy is not metered (surface nodes harvest); only node-side charge
 is accounted, exactly: consumed = I_active*t_active/3600 + I_sleep*t_sleep/3600.
 """
@@ -29,10 +32,12 @@ import gc
 import itertools
 import math
 import sys
-from bisect import insort
+from array import array
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from heapq import heappop, heappush
-from operator import attrgetter, itemgetter
+from operator import eq, itemgetter
 
 from . import acoustic, mi, optical
 from .core import (
@@ -71,7 +76,12 @@ _FLOAT_MAX = sys.float_info.max
 # if all were queued at t = 0.  Likewise it holds at most one entry per
 # broadcast, keyed by the broadcast's next arrival.
 _PRIO_SLEEP, _PRIO_RF, _PRIO_WUS, _PRIO_REQUEST = 0, 1, 2, 3
-_TIME_NS = attrgetter("time_ns")
+# A logged code is ``key << _TARGET_BITS | target``: the index of its entry
+# and the request target its detail takes, or 0.  Every address fits.
+_TARGET_BITS = 16
+# A log's columns hold unsigned 64-bit ints: "L" where a C long has 8 bytes,
+# as CPython appends it about twice as fast as "Q" and four times as "q".
+_U64 = "L" if array("L").itemsize == 8 else "Q"
 
 # The link law of each technology: its params class computes received
 # power (``rx_dbm``) and states the shortest distance the law holds at, the
@@ -218,9 +228,10 @@ class SimConfig:
     horizon_s: float = 3600.0
 
 
-# The run's records are slotted, not frozen: a frozen dataclass sets each
-# field through object.__setattr__, several times slower to build, and a run
-# builds one or two records per signal arrival.  They are not hashable.
+# The run's records are built from its log each time they are read, so
+# editing one does not edit the report.  They are slotted, not frozen: a
+# frozen dataclass sets each field through object.__setattr__, several
+# times slower to build.  They are not hashable.
 @dataclass(slots=True)
 class SimEvent:
     time_ns: int
@@ -239,6 +250,85 @@ class FailureRecord:
     reason: str
     actor: str
     detail: str
+
+
+class RunLog(Sequence):
+    """A run's events or failures: a read-only sequence of ``record``s,
+    held as two columns of ints, a time and a code per record.
+
+    A code names an entry of the log's table and, if the entry's detail
+    takes one at its ``{}``, the target of the request that logged it.
+    An entry holds a record's fields but its time, in field order.  A run
+    makes its entries before the loop (per link-table row and outcome,
+    node, buoy and technology, and for the UAV), so the table grows with
+    the links, not the arrivals.  A record is built on access; a log
+    compares equal to a list of the same records, or to another log, and
+    its repr is that of the list.
+    """
+
+    __slots__ = ("record", "entries", "times", "codes")
+
+    def __init__(self, record, horizon_ns):
+        self.record = record
+        self.entries = []
+        # No record comes after the horizon; past 64 bits, times go in a list.
+        self.times = array(_U64) if horizon_ns < 2**64 else []
+        self.codes = array(_U64)
+
+    def entry(self, *fields):
+        """Add an entry to the table; returns its code without a target."""
+        self.entries.append(fields)
+        return (len(self.entries) - 1) << _TARGET_BITS
+
+    def add(self, time_ns, code):
+        self.times.append(time_ns)
+        self.codes.append(code)
+
+    def insort(self, time_ns, code):
+        """Add a record after every record up to its time, as a stable
+        sort would put it."""
+        i = bisect_right(self.times, time_ns)
+        self.times.insert(i, time_ns)
+        self.codes.insert(i, code)
+
+    def lines(self, time_text, entry_text):
+        """Each record as ``time_text(time_ns)`` followed by
+        ``entry_text(*entry)`` with the record's target in place of the
+        ``{}`` its detail may hold.  Each entry is rendered once, and each
+        time once for a run of equal times."""
+        parts = []
+        for fields in self.entries:
+            head, target, tail = entry_text(*fields).partition("{}")
+            parts.append((head, tail if target else None))
+        last_ns = None
+        for time_ns, code in zip(self.times, self.codes):
+            if time_ns != last_ns:
+                last_ns, stamp = time_ns, time_text(time_ns)
+            head, tail = parts[code >> _TARGET_BITS]
+            yield stamp + head if tail is None else f"{stamp}{head}{code & MAX_ADDRESS}{tail}"
+
+    def _record(self, time_ns, code):
+        first, second, detail = self.entries[code >> _TARGET_BITS]
+        return self.record(time_ns, first, second, detail.format(code & MAX_ADDRESS))
+
+    def __len__(self):
+        return len(self.codes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return self._record(self.times[i], self.codes[i])
+
+    def __iter__(self):
+        return map(self._record, self.times, self.codes)
+
+    def __eq__(self, other):
+        if not isinstance(other, (RunLog, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self):
+        return repr(list(self))
 
 
 @dataclass
@@ -263,18 +353,29 @@ class NodeReport:
 @dataclass
 class SimReport:
     horizon_s: float
-    events: list
-    failures: list
+    events: RunLog  # of SimEvent
+    failures: RunLog  # of FailureRecord
     nodes: dict  # address -> NodeReport
 
 
 class _NodeRuntime:
     """Mutable per-node bookkeeping while the event loop runs."""
 
-    def __init__(self, node: Node, horizon_ns):
+    def __init__(self, node: Node, horizon_ns, events, failures):
         self.node = node
-        self.actor = f"node{node.address}"
-        self.local = str(node.address)  # the ``local=`` of a mismatch detail
+        self.actor = actor = f"node{node.address}"
+        # The node's log codes: (event, failure) for an arrival that finds
+        # it flat or names another target, an arrival ignored while active
+        # or from a request that woke it already, its sleep and depletion.
+        self.depleted = (events.entry(actor, "wus_arrival", "depleted"),
+                         failures.entry(DEPLETED, actor, "target={}"))
+        self.mismatch = (events.entry(actor, "wus_arrival", "address_mismatch target={}"),
+                         failures.entry(ADDRESS_MISMATCH, actor,
+                                        f"target={{}} local={node.address}"))
+        self.ignored = events.entry(actor, "wus_arrival", "ignored_active")
+        self.duplicate = events.entry(actor, "wus_arrival", "duplicate_request")
+        self.asleep = events.entry(actor, "node_sleep", "")
+        self.depletion = events.entry(actor, "node_depleted", "")
         self.burst_ns = _to_ns(node.energy.active_duration_s)
         self.active_ma = node.energy.active_current_ma
         self.sleep_ma = node.energy.sleep_current_ma
@@ -321,10 +422,8 @@ class _NodeRuntime:
                 split = budget_mah / current * 3600.0 * _NS
             delta = int(min(delta, split))
             self.depleted_ns = self.last_ns + delta
-            # found while settling, after later events may have been logged:
-            # after every event up to its instant, as a stable sort would put it
-            insort(events, SimEvent(self.depleted_ns, self.actor, "node_depleted", ""),
-                   key=_TIME_NS)
+            # found while settling, after later events may have been logged
+            events.insort(self.depleted_ns, self.depletion)
         if active:
             self.active_ns += delta
         else:
@@ -375,16 +474,16 @@ def _validate(config: SimConfig):
                 )
 
 
-def _link_table(buoy, hop_ns, runtimes, technology):
+def _link_table(buoy, hop_ns, runtimes, technology, events, failures):
     """(delay_ns, address, runtime, miss, wake) from a buoy, ``hop_ns``
     after the UAV, to each node of a technology, sorted by (delay_ns,
     address): the order the queue pops one broadcast's arrivals.  Received
     power and sensitivity are fixed per (buoy, node), so whether the node
     hears the buoy is decided here: ``miss`` is None if it does, else the
-    finished ``wus_arrival`` and failure details, shared by every arrival
-    on that link.  So is the wake latency, the UAV hop plus the link delay:
-    ``wake`` is (latency_s, the ``node_wake`` detail) if the node hears
-    the buoy, else None."""
+    codes of the ``wus_arrival`` event and the failure that every arrival
+    on that link logs.  So is the wake latency, the UAV hop plus the link
+    delay: ``wake`` is (latency_s, the ``node_wake`` code) if the node
+    hears the buoy, else None."""
     table = []
     for nrt in runtimes.values():
         node = nrt.node
@@ -392,15 +491,17 @@ def _link_table(buoy, hop_ns, runtimes, technology):
             dist = buoy.position.distance_to(node.position)
             delay_ns = _to_ns(propagation_delay(node.link_params, dist))
             rx_dbm = node.link_params.rx_dbm(dist)
+            actor = nrt.actor
             miss = wake = None
             if rx_dbm < node.sensitivity_dbm:
                 miss = (
-                    f"below_sensitivity rx_dbm={rx_dbm:.3f}",
-                    f"rx {rx_dbm:.3f} dBm below sensitivity {node.sensitivity_dbm:.3f} dBm",
+                    events.entry(actor, "wus_arrival", f"below_sensitivity rx_dbm={rx_dbm:.3f}"),
+                    failures.entry(OUT_OF_RANGE, actor, f"rx {rx_dbm:.3f} dBm below "
+                                   f"sensitivity {node.sensitivity_dbm:.3f} dBm"),
                 )
             else:
                 latency_s = (hop_ns + delay_ns) / _NS
-                wake = (latency_s, f"latency_s={latency_s:.9f}")
+                wake = (latency_s, events.entry(actor, "node_wake", f"latency_s={latency_s:.9f}"))
             table.append((delay_ns, node.address, nrt, miss, wake))
     table.sort(key=itemgetter(0, 1))
     return table
@@ -413,8 +514,8 @@ def run(config: SimConfig) -> SimReport:
     report records, never exceptions; only an invalid config raises.
 
     The cyclic garbage collector is paused for the run: the loop allocates
-    only acyclic records (events, failures, queue entries), and rescanning
-    them would cost a sizeable share of the run.
+    only acyclic objects (queue entries, log entries), and rescanning them
+    would cost a sizeable share of the run.
     """
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -428,9 +529,12 @@ def run(config: SimConfig) -> SimReport:
 def _run(config: SimConfig) -> SimReport:
     _validate(config)
     horizon_ns = _to_ns(config.horizon_s)
-    runtimes = {node.address: _NodeRuntime(node, horizon_ns) for node in config.nodes}
-    events = []
-    failures = []
+    events = RunLog(SimEvent, horizon_ns)
+    failures = RunLog(FailureRecord, horizon_ns)
+    log_event, log_failure = events.add, failures.add
+    runtimes = {
+        node.address: _NodeRuntime(node, horizon_ns, events, failures) for node in config.nodes
+    }
     heap = []
     seq = itertools.count()
     # Sorted by whole ns, not by time_s: two times can round to one ns, and
@@ -440,27 +544,30 @@ def _run(config: SimConfig) -> SimReport:
     first = next(requests, None)
     if first is not None:
         heappush(heap, (first[0], _PRIO_REQUEST, 0, next(seq), first[1]))
+    requested = events.entry("uav", "wake_request", "target={}")
+    no_buoy = failures.entry(OUT_OF_RANGE, "uav", "no buoy within rf range")
 
-    # The details every arrival of a request logs, rendered once per target
-    # (an exact int, so one key renders one way): the target, the mismatch
-    # outcome and a mismatch failure's prefix.
-    details = {}
-    for req in config.wake_requests:
-        if req.target_address not in details:
-            text = f"target={req.target_address}"
-            details[req.target_address] = (text, "address_mismatch " + text, text + " local=")
-
-    # The RF hop of every buoy that hears the UAV: its index, delay, actor
-    # and, per equipped technology in transmitter order, its link table.
+    # The RF hop of every buoy that hears the UAV: its index, delay,
+    # ``rf_arrival`` code, and per technology either its ``wus_emit`` code
+    # and link table, in transmitter order, or the code of the failure to
+    # reach a target of that technology.
     hops = []
     for bidx, buoy in enumerate(config.buoys):
         dist = config.uav.position.distance_to(buoy.position)
         if buoy.rf_wakeup_enabled and dist <= config.uav.rf_range_m:
             hop_ns = _to_ns(dist / LIGHT_SPEED_M_S)
+            actor = f"buoy{bidx}"
             tables = {
-                tech: _link_table(buoy, hop_ns, runtimes, tech) for tech in buoy.transmitters
+                tech: (events.entry(actor, "wus_emit", f"tech={tech} target={{}}"),
+                       _link_table(buoy, hop_ns, runtimes, tech, events, failures))
+                for tech in buoy.transmitters
             }
-            hops.append((bidx, hop_ns, f"buoy{bidx}", tables))
+            missing = {
+                tech: failures.entry(OUT_OF_RANGE, actor, f"no {tech} transmitter for target {{}}")
+                for tech in TECHNOLOGIES if tech not in tables
+            }
+            arrived = events.entry(actor, "rf_arrival", "target={}")
+            hops.append((bidx, hop_ns, arrived, tables, missing))
 
     while heap and heap[0][0] <= horizon_ns:  # nothing past the horizon (or inf) runs
         entry = heappop(heap)
@@ -471,37 +578,36 @@ def _run(config: SimConfig) -> SimReport:
         # next one still sorts before the queue's head, then goes back in
         # keyed by the first one that does not.
         if kind == _PRIO_WUS:
-            t, _, addr, order, i, emitted, rows, req, texts = entry
+            t, _, addr, order, i, emitted, rows, req, target = entry
             _, _, nrt, miss, wake = rows[i]
             while True:
-                actor = nrt.actor
                 if nrt.can_deplete and nrt.settle(t, events):
-                    events.append(SimEvent(t, actor, "wus_arrival", "depleted"))
-                    failures.append(FailureRecord(t, DEPLETED, actor, texts[0]))
+                    log_event(t, nrt.depleted[0] | target)
+                    log_failure(t, nrt.depleted[1] | target)
                     nrt.failures += 1
                 elif miss is not None:
-                    events.append(SimEvent(t, actor, "wus_arrival", miss[0]))
-                    failures.append(FailureRecord(t, OUT_OF_RANGE, actor, miss[1]))
+                    log_event(t, miss[0])
+                    log_failure(t, miss[1])
                     nrt.failures += 1
-                elif req.target_address != addr:
-                    events.append(SimEvent(t, actor, "wus_arrival", texts[1]))
-                    failures.append(FailureRecord(t, ADDRESS_MISMATCH, actor, texts[2] + nrt.local))
+                elif target != addr:
+                    log_event(t, nrt.mismatch[0] | target)
+                    log_failure(t, nrt.mismatch[1] | target)
                     nrt.failures += 1
                 elif nrt.state == ACTIVE:
                     # Fig-2-style interrupt targets a sleeping controller; an
                     # already-active node ignores further signals.
-                    events.append(SimEvent(t, actor, "wus_arrival", "ignored_active"))
+                    log_event(t, nrt.ignored)
                 elif nrt.woken_by is req:
                     # Another buoy's relay of the request that already woke the
                     # node, arriving after its burst: one request, one wake.
-                    events.append(SimEvent(t, actor, "wus_arrival", "duplicate_request"))
+                    log_event(t, nrt.duplicate)
                 else:
                     if not nrt.can_deplete:
                         nrt.settle(t, events)
                     nrt.state = ACTIVE
                     nrt.woken_by = req
                     nrt.latencies_s.append(wake[0])
-                    events.append(SimEvent(t, actor, "node_wake", wake[1]))
+                    log_event(t, wake[1])
                     heappush(heap, (t + nrt.burst_ns, _PRIO_SLEEP, addr, next(seq), nrt))
                 i += 1
                 if i == len(rows):
@@ -514,46 +620,45 @@ def _run(config: SimConfig) -> SimReport:
                     # times first: a tuple is built only on a tie
                     head_t = heap[0][0]
                     if t > head_t or t == head_t and (t, _PRIO_WUS, addr, order) > heap[0]:
-                        heappush(heap, (t, _PRIO_WUS, addr, order, i, emitted, rows, req, texts))
+                        heappush(heap, (t, _PRIO_WUS, addr, order, i, emitted, rows, req, target))
                         break
 
         elif kind == _PRIO_SLEEP:
             t, nrt = entry[0], entry[4]
             if not nrt.settle(t, events) and nrt.state == ACTIVE:
                 nrt.state = SLEEP
-                events.append(SimEvent(t, nrt.actor, "node_sleep", ""))
+                log_event(t, nrt.asleep)
 
         elif kind == _PRIO_RF:
-            t, _, _, _, actor, tables, req, texts = entry
-            events.append(SimEvent(t, actor, "rf_arrival", texts[0]))
-            target = runtimes.get(req.target_address)
-            if target is not None:
-                tech = target.node.technology
-                techs = (tech,) if tech in tables else ()
-                if not techs:
-                    detail = f"no {tech} transmitter for target {req.target_address}"
-                    failures.append(FailureRecord(t, OUT_OF_RANGE, actor, detail))
-            else:
+            t, _, _, _, arrived, tables, missing, req, target = entry
+            log_event(t, arrived | target)
+            nrt = runtimes.get(target)
+            if nrt is None:
                 # Unknown address: broadcast on everything equipped and let
                 # the per-node address filters sort it out.
-                techs = tables
-            for tech in techs:
-                events.append(SimEvent(t, actor, "wus_emit", f"tech={tech} {texts[0]}"))
-                rows = tables[tech]
+                emits = tables.values()
+            elif nrt.node.technology in tables:
+                emits = (tables[nrt.node.technology],)
+            else:
+                log_failure(t, missing[nrt.node.technology] | target)
+                emits = ()
+            for emitted_code, rows in emits:
+                log_event(t, emitted_code | target)
                 if rows:
                     delay_ns, addr = rows[0][:2]
                     heappush(
-                        heap, (t + delay_ns, _PRIO_WUS, addr, next(seq), 0, t, rows, req, texts)
+                        heap, (t + delay_ns, _PRIO_WUS, addr, next(seq), 0, t, rows, req, target)
                     )
 
         else:  # a request
             t, req = entry[0], entry[4]
-            texts = details[req.target_address]
-            events.append(SimEvent(t, "uav", "wake_request", texts[0]))
-            for bidx, delay_ns, actor, tables in hops:
-                heappush(heap, (t + delay_ns, _PRIO_RF, bidx, next(seq), actor, tables, req, texts))
+            target = req.target_address
+            log_event(t, requested | target)
+            for bidx, delay_ns, arrived, tables, missing in hops:
+                heappush(heap, (t + delay_ns, _PRIO_RF, bidx, next(seq), arrived, tables,
+                                missing, req, target))
             if not hops:
-                failures.append(FailureRecord(t, OUT_OF_RANGE, "uav", "no buoy within rf range"))
+                log_failure(t, no_buoy)
             following = next(requests, None)
             if following is not None:
                 heappush(heap, (following[0], _PRIO_REQUEST, 0, next(seq), following[1]))

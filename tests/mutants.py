@@ -54,10 +54,29 @@ MUTANTS = [
         "name": "depletion-appended",
         "why": "a depletion found while settling is logged in its place in time",
         "file": "src/iout_wakeup/sim.py",
-        "old": '            insort(events, SimEvent(self.depleted_ns, self.actor, "node_depleted", ""),\n'
-               "                   key=_TIME_NS)",
-        "new": '            events.append(SimEvent(self.depleted_ns, self.actor, "node_depleted", ""))',
+        "old": "            events.insort(self.depleted_ns, self.depletion)",
+        "new": "            events.add(self.depleted_ns, self.depletion)",
         "test": ORACLE + "test_events_are_logged_in_time_order",
+    },
+    {
+        "name": "times-in-int64",
+        "why": "a run logs times past 64 bits exactly",
+        "file": "src/iout_wakeup/sim.py",
+        "old": "        self.times = array(_U64) if horizon_ns < 2**64 else []",
+        "new": '        self.times = array("q")',
+        "test": "tests/test_sim.py::test_event_times_beyond_64_bits_are_exact",
+    },
+    {
+        "name": "suffix-cached-without-target",
+        "why": "an events CSV row renders its own request's target",
+        "file": "src/iout_wakeup/sim.py",
+        "old": "            yield stamp + head if tail is None else "
+               'f"{stamp}{head}{code & MAX_ADDRESS}{tail}"',
+        "new": "            if tail is not None:  # cached per key with the first row's target\n"
+               "                parts[code >> _TARGET_BITS] = head, tail = (\n"
+               '                    f"{head}{code & MAX_ADDRESS}{tail}", None)\n'
+               "            yield stamp + head",
+        "test": ORACLE + "test_the_run_log_acts_as_the_list_it_replaces",
     },
     {
         "name": "bool-in-a-float-field",

@@ -425,6 +425,29 @@ def test_simulate_malformed_json_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: 2: ")
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        # an int literal past the interpreter's 4300-digit conversion limit
+        ('{"buoys": [{"position": [0, 0, 0]}], "nodes": [{"address": 1' + "0" * 5000
+         + ', "position": [0, 0, 50], "tech": "acoustic"}]}').encode("ascii"),
+        # nesting deeper than the decoder's recursion limit
+        b"[" * 200_000,
+        # Latin-1, not UTF-8
+        '{"buoys": [{"position": [0, 0, 0]}], "nodes": [], "é": 1}'.encode("latin-1"),
+    ],
+    ids=["5001-digit-int", "deep-nesting", "not-utf8"],
+)
+def test_simulate_unreadable_scenario_exits_2(content, tmp_path, capsys):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 2: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_simulate_missing_scenario_exits_2(tmp_path, capsys):
     rc = main(["simulate", "--scenario", "nowhere.json", "--out", str(tmp_path / "x")])
     assert rc == 2

@@ -1,13 +1,15 @@
 """The simulator against two oracles, a deliberately naive reference
 engine and the closed-form lifetime of the on-demand policy, and against
-itself on the serialized config; its records over the full numeric ranges
-and through the scenario format; and the closed form's two rate-based
-policies against each other."""
+itself on the serialized config; its run log against the list of records
+it replaces; its records over the full numeric ranges and through the
+scenario format; and the closed form's two rate-based policies against
+each other."""
 
 import itertools
 import math
 import os
 import sys
+import tempfile
 from functools import partial
 
 import pytest
@@ -23,7 +25,7 @@ from iout_wakeup.energy import (
     lifetime_hours,
 )
 from iout_wakeup.errors import ConfigError, DomainError, PolicyError, ValidationError
-from iout_wakeup.scenario import parse_scenario_text, scenario_to_json
+from iout_wakeup.scenario import parse_scenario_text, scenario_to_json, write_events_csv
 from iout_wakeup.sim import (
     ACTIVE,
     ADDRESS_MISMATCH,
@@ -44,7 +46,7 @@ from iout_wakeup.sim import (
     simulate_lifetime,
 )
 
-# Multiplies the example count of the seven properties below (and nothing
+# Multiplies the example count of the eight properties below (and nothing
 # else), so one CI leg can search longer; 1 when unset.
 SCALE = int(os.environ.get("IOUT_ORACLE_EXAMPLES_SCALE", "1"))
 
@@ -333,6 +335,33 @@ def test_a_serialized_config_runs_as_the_config(config):
     assert again.events == report.events
     assert again.failures == report.failures
     assert again.nodes == report.nodes
+
+
+@settings(max_examples=200 * SCALE, deadline=None)
+@given(_config())
+@example(_flat_while_woken())
+@example(_one_ns_out_of_float_order())
+def test_the_run_log_acts_as_the_list_it_replaces(config):
+    """The report's events and failures index, slice, iterate, compare
+    and print as the list of their records, and the events CSV holds
+    those records."""
+    report = run(config)
+    for log in (report.events, report.failures):
+        records = [log[i] for i in range(len(log))]
+        assert list(log) == records
+        assert [log[-i] for i in range(1, len(log) + 1)] == records[::-1]
+        for cut in (slice(None), slice(1, -1), slice(-3, None), slice(None, None, -2),
+                    slice(2, None, 3), slice(4, 1)):
+            assert log[cut] == records[cut]
+        assert log == records and records == log
+        assert repr(log) == repr(records)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "events.csv")
+        write_events_csv(path, report)
+        with open(path, "rb") as fh:
+            written = fh.read()
+    rows = "".join(f"{e.time_ns / 1e9:.9f},{e.actor},{e.kind},{e.detail}\n" for e in report.events)
+    assert written == ("time_s,actor,kind,detail\n" + rows).encode()
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,18 @@ def test_depletion_split_beyond_the_float_range():
     assert report.nodes[1].depleted_at_s == (RF_DELAY_NS + ACOUSTIC_100M_NS) / 1e9 + 3600.0
 
 
+def test_event_times_beyond_64_bits_are_exact(tmp_path):
+    # 1e11 s is 10**20 ns, past 2**64: a time is an exact int at any size
+    node = make_node("acoustic", address=1, depth_m=100.0)
+    report = run(_config([node], [WakeRequest(1e11, 1)], horizon_s=1e12))
+    kinds = [e.kind for e in report.events]
+    assert report.events[kinds.index("wake_request")].time_ns == 10**20
+    write_events_csv(tmp_path / "events.csv", report)
+    lines = (tmp_path / "events.csv").read_text(encoding="utf-8").splitlines()
+    row = lines[1 + kinds.index("wake_request")]
+    assert row == "100000000000.000000000,uav,wake_request,target=1"
+
+
 def test_config_rejects_a_charge_beyond_the_float_range():
     # 1e305 mA for 1e5 s is 1e310 mA*s: the run could not account for it
     energy = EnergyProfile(1e300, 1e305, 1.0, 1.0)
