@@ -35,6 +35,7 @@ import sys
 from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from heapq import heappop, heappush
 from operator import eq, itemgetter
@@ -387,7 +388,7 @@ class _NodeRuntime:
         self.depleted_ns = None
         self.latencies_s = []
         self.failures = 0
-        self.woken_by = None  # the request that last woke the node
+        self.woken_by = None  # the token of the request that last woke the node
         # Whether the battery can run flat before the horizon.  Each charge
         # settle() compares (active, sleep, the new interval) is at most X,
         # the charge of a node active throughout, as float rounding is
@@ -507,27 +508,40 @@ def _link_table(buoy, hop_ns, runtimes, technology, events, failures):
     return table
 
 
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector, then restore it as it was: the
+    loop allocates only acyclic objects (queue entries, log entries), and
+    rescanning them would cost a sizeable share of the run."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def run(config: SimConfig) -> SimReport:
     """Run the event loop to the horizon and assemble the report.
 
     Protocol outcomes (missed wake-ups, mismatches, depleted targets) are
-    report records, never exceptions; only an invalid config raises.
-
-    The cyclic garbage collector is paused for the run: the loop allocates
-    only acyclic objects (queue entries, log entries), and rescanning them
-    would cost a sizeable share of the run.
+    report records, never exceptions; only an invalid config raises.  The
+    cyclic garbage collector is paused for the run.
     """
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _run(config)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    with _gc_paused():
+        _validate(config)
+        # Sorted stably by whole ns, not by time_s: two times can round to
+        # one ns, and config order must then decide.  A request is its own
+        # token, so one listed twice is one request.
+        ordered = sorted(config.wake_requests, key=lambda r: _to_ns(r.time_s))
+        return _run(config, ((_to_ns(r.time_s), r.target_address, r) for r in ordered))
 
 
-def _run(config: SimConfig) -> SimReport:
-    _validate(config)
+def _run(config: SimConfig, requests) -> SimReport:
+    """The run of a validated config on ``requests``, an iterable of
+    (whole ns, target, token) in run order.  Relays of requests with one
+    token (compared with ``is``) wake a node once."""
     horizon_ns = _to_ns(config.horizon_s)
     events = RunLog(SimEvent, horizon_ns)
     failures = RunLog(FailureRecord, horizon_ns)
@@ -537,13 +551,10 @@ def _run(config: SimConfig) -> SimReport:
     }
     heap = []
     seq = itertools.count()
-    # Sorted by whole ns, not by time_s: two times can round to one ns, and
-    # config order must then decide.
-    requests = iter(sorted(((_to_ns(r.time_s), r) for r in config.wake_requests),
-                           key=itemgetter(0)))
+    requests = iter(requests)
     first = next(requests, None)
     if first is not None:
-        heappush(heap, (first[0], _PRIO_REQUEST, 0, next(seq), first[1]))
+        heappush(heap, (first[0], _PRIO_REQUEST, 0, next(seq), first))
     requested = events.entry("uav", "wake_request", "target={}")
     no_buoy = failures.entry(OUT_OF_RANGE, "uav", "no buoy within rf range")
 
@@ -651,8 +662,7 @@ def _run(config: SimConfig) -> SimReport:
                     )
 
         else:  # a request
-            t, req = entry[0], entry[4]
-            target = req.target_address
+            t, (_, target, req) = entry[0], entry[4]
             log_event(t, requested | target)
             for bidx, delay_ns, arrived, tables, missing in hops:
                 heappush(heap, (t + delay_ns, _PRIO_RF, bidx, next(seq), arrived, tables,
@@ -661,7 +671,7 @@ def _run(config: SimConfig) -> SimReport:
                 log_failure(t, no_buoy)
             following = next(requests, None)
             if following is not None:
-                heappush(heap, (following[0], _PRIO_REQUEST, 0, next(seq), following[1]))
+                heappush(heap, (following[0], _PRIO_REQUEST, 0, next(seq), following))
 
     for nrt in runtimes.values():
         nrt.settle(horizon_ns, events)
@@ -706,10 +716,12 @@ def simulate_lifetime(node: Node, wake_rate_per_hour, horizon_hours):
     """Event-driven lifetime in hours for a node woken at a constant rate.
 
     Places a buoy straight above the node and a UAV 10 m over the buoy,
-    schedules one matched request per 3600/rate seconds (rounded to whole
-    nanoseconds), and runs to the horizon.  Returns the depletion time if
-    the battery dies inside the horizon, otherwise extrapolates linearly
-    from the consumed charge.
+    schedules one matched request at each exact whole-nanosecond instant
+    ``k * interval`` before the horizon, the interval being 3600/rate
+    seconds rounded to whole nanoseconds, and runs to the horizon.  The
+    requests are streamed into the run, which holds no object per request.
+    Returns the depletion time if the battery dies inside the horizon,
+    otherwise extrapolates linearly from the consumed charge.
     """
     # The closed form's rules: a rate or profile lifetime_hours rejects
     # raises the same PolicyError or DomainError here.
@@ -721,7 +733,7 @@ def simulate_lifetime(node: Node, wake_rate_per_hour, horizon_hours):
         raise ConfigError(
             f"horizon must be positive and finite in whole ns: {horizon_hours!r} h"
         )
-    requests = []
+    requests = ()
     if wake_rate_per_hour > 0.0:
         # Whole-ns instants k * interval, so no two requests come closer than
         # the rate says; an interval past the horizon asks once, at t = 0.
@@ -733,15 +745,17 @@ def simulate_lifetime(node: Node, wake_rate_per_hour, horizon_hours):
                 f"{wake_rate_per_hour} wakes/h over {horizon_hours} h "
                 f"is more than {MAX_POINTS} requests"
             )
-        requests = [WakeRequest(k * interval_ns / _NS, node.address) for k in range(count)]
+        # k is the token of the k-th request
+        requests = ((k * interval_ns, node.address, k) for k in range(count))
     config = SimConfig(
         uav=Uav(Position3D(node.position.x, node.position.y, -10.0), rf_range_m=100.0),
         buoys=[Buoy(Position3D(node.position.x, node.position.y, 0.0))],
         nodes=[node],
-        wake_requests=requests,
         horizon_s=horizon_s,
     )
-    report = run(config)
+    with _gc_paused():
+        _validate(config)
+        report = _run(config, requests)
     nrep = report.nodes[node.address]
     if nrep.depleted:
         return nrep.depleted_at_s / 3600.0

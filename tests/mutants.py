@@ -30,9 +30,25 @@ MUTANTS = [
         "name": "requests-sorted-by-time",
         "why": "two request times that round to one ns run in config order",
         "file": "src/iout_wakeup/sim.py",
-        "old": "                           key=itemgetter(0)))",
-        "new": "                           key=lambda pair: pair[1].time_s))",
+        "old": "key=lambda r: _to_ns(r.time_s))",
+        "new": "key=lambda r: r.time_s)",
         "test": ORACLE + "test_engine_matches_the_reference_engine",
+    },
+    {
+        "name": "request-token-is-its-place",
+        "why": "a request listed twice in a config is one request, and wakes a node once",
+        "file": "src/iout_wakeup/sim.py",
+        "old": "(_to_ns(r.time_s), r.target_address, r) for r in ordered)",
+        "new": "(_to_ns(r.time_s), r.target_address, i) for i, r in enumerate(ordered))",
+        "test": ORACLE + "test_engine_matches_the_reference_engine",
+    },
+    {
+        "name": "lifetime-grid-one-token",
+        "why": "each request of a simulated lifetime wakes the node, not only the first",
+        "file": "src/iout_wakeup/sim.py",
+        "old": "        requests = ((k * interval_ns, node.address, k) for k in range(count))",
+        "new": "        requests = ((k * interval_ns, node.address, 0) for k in range(count))",
+        "test": ORACLE + "test_simulated_lifetime_matches_the_closed_form",
     },
     {
         "name": "rows-sorted-by-delay-only",

@@ -1,9 +1,9 @@
 """The simulator against two oracles, a deliberately naive reference
 engine and the closed-form lifetime of the on-demand policy, and against
-itself on the serialized config; its run log against the list of records
-it replaces; its records over the full numeric ranges and through the
-scenario format; and the closed form's two rate-based policies against
-each other."""
+itself on the serialized config and on the config a simulated lifetime
+documents; its run log against the list of records it replaces; its
+records over the full numeric ranges and through the scenario format;
+and the closed form's two rate-based policies against each other."""
 
 import itertools
 import math
@@ -46,7 +46,7 @@ from iout_wakeup.sim import (
     simulate_lifetime,
 )
 
-# Multiplies the example count of the eight properties below (and nothing
+# Multiplies the example count of the nine properties below (and nothing
 # else), so one CI leg can search longer; 1 when unset.
 SCALE = int(os.environ.get("IOUT_ORACLE_EXAMPLES_SCALE", "1"))
 
@@ -300,11 +300,27 @@ def _one_ns_out_of_float_order():
     )
 
 
+def _one_request_listed_twice():
+    """One request object listed twice, relayed by two buoys 200 m apart
+    to a node with a 50 ms burst: both listings emit, and the node wakes
+    once, as a request is an object, not a place in the list."""
+    request = WakeRequest(0.0, 1)
+    energy = EnergyProfile(950.0, 0.5, 0.015, 0.05)
+    return SimConfig(
+        uav=Uav(Position3D(0.0, 0.0, -10.0), rf_range_m=300.0),
+        buoys=[Buoy(Position3D(0.0, 0.0, 0.0)), Buoy(Position3D(200.0, 0.0, 0.0))],
+        nodes=[Node(1, Position3D(0.0, 0.0, 50.0), "acoustic", energy=energy)],
+        wake_requests=[request, request],
+        horizon_s=10.0,
+    )
+
+
 @settings(max_examples=200 * SCALE, deadline=None)
 @given(_config())
 @example(_flat_while_woken())
 @example(_twin_relays())
 @example(_one_ns_out_of_float_order())
+@example(_one_request_listed_twice())
 def test_engine_matches_the_reference_engine(config):
     report = run(config)
     events, failures, nodes = reference_run(config)
@@ -391,6 +407,17 @@ def _lifetime_case(draw):
     return tech, profile, rate, hours
 
 
+def _lifetime_grid(rate, hours):
+    """The run's request instants in whole ns, as simulate_lifetime
+    documents them: k * interval before the horizon, the interval being
+    3600/rate s in whole ns, at least 1 ns and at most the horizon."""
+    if rate == 0.0:
+        return []
+    horizon = _ns(hours * 3600)
+    interval = min(max(_ns(3600.0 / rate), 1), horizon)
+    return [k * interval for k in range(-(-horizon // interval))]
+
+
 @settings(max_examples=200 * SCALE, deadline=None)
 @given(_lifetime_case())
 @example(("acoustic", DEFAULT_ENERGY["acoustic"], 1200.0, 0.8))
@@ -414,17 +441,12 @@ def test_simulated_lifetime_matches_the_closed_form(case):
     except (ConfigError, DomainError, PolicyError):  # test_sim.py tests which inputs raise
         assume(False)
     a, s, burst = profile.active_current_ma, profile.sleep_current_ma, profile.active_duration_s
-    # The run's request grid, as simulate_lifetime lays it out.
-    count = close = 0
-    if rate > 0.0:
-        horizon = _ns(hours * 3600)
-        interval = min(max(_ns(3600.0 / rate), 1), horizon)
-        count = -(-horizon // interval)
-        grid = [k * interval for k in range(count)]
-        # a request less than a burst after the previous one can find the
-        # node still active, and is then ignored
-        burst_ns = _ns(burst)
-        close = sum(later - earlier < burst_ns for earlier, later in zip(grid, grid[1:]))
+    grid = _lifetime_grid(rate, hours)
+    count = len(grid)
+    # a request less than a burst after the previous one can find the node
+    # still active, and is then ignored
+    burst_ns = _ns(burst)
+    close = sum(later - earlier < burst_ns for earlier, later in zip(grid, grid[1:]))
     # Active seconds the run may differ by from rate * horizon * burst: the
     # whole-request count and the truncated last burst (one burst each),
     # requests still in flight at the horizon, ignored requests, and the
@@ -438,6 +460,39 @@ def test_simulated_lifetime_matches_the_closed_form(case):
     charge = (a - s) * active_s / 3600.0 + 1e-322
     bound = charge / average_current(profile, policy) + 2e-9 / 3600.0
     assert abs(simulated - expected) <= bound * max(1.0, simulated / hours) + 1e-9 * expected
+
+
+@settings(max_examples=200 * SCALE, deadline=None)
+@given(_lifetime_case())
+@example(("acoustic", DEFAULT_ENERGY["acoustic"], 1200.0, 0.8))
+@example(("optical", EnergyProfile(0.5, 3.6, 0.083, 1.0), 1200.0, 0.8))  # flat at ~0.4 h
+@example(("acoustic", EnergyProfile(950.0, 0.5, 0.015, 0.1234567896), 3600 / 0.1234567896, 0.05))
+def test_simulated_lifetime_is_the_run_of_its_config(case):
+    """simulate_lifetime gives, bit for bit, the lifetime of ``run`` on the
+    config it documents (a buoy above the node, the UAV 10 m over it, one
+    WakeRequest per grid instant), on grids below 2**50 ns, where every
+    instant survives its round trip through float seconds."""
+    tech, profile, rate, hours = case
+    node = make_node(tech, energy=profile)
+    try:
+        simulated = simulate_lifetime(node, rate, hours)
+    except (ConfigError, DomainError, PolicyError):
+        assume(False)
+    grid = _lifetime_grid(rate, hours)
+    assume(not grid or grid[-1] < 2**50)
+    p = node.position
+    report = run(SimConfig(
+        uav=Uav(Position3D(p.x, p.y, -10.0), rf_range_m=100.0),
+        buoys=[Buoy(Position3D(p.x, p.y, 0.0))],
+        nodes=[node],
+        wake_requests=[WakeRequest(ns / NS, node.address) for ns in grid],
+        horizon_s=hours * 3600,
+    ))
+    nrep = report.nodes[node.address]
+    if nrep.depleted:
+        assert simulated == nrep.depleted_at_s / 3600.0
+    else:
+        assert simulated == hours * profile.battery_capacity_mah / nrep.charge_consumed_mah
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import math
 import sys
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -234,6 +235,27 @@ def test_a_new_request_wakes_the_node_again():
     assert report.nodes[1].wakes == 2
     details = [e.detail for e in report.events if e.kind == "wus_arrival"]
     assert details == ["duplicate_request", "duplicate_request"]
+
+
+def test_a_request_listed_twice_is_one_request():
+    # Both listings emit, but the node wakes once: a request is one object,
+    # not one place in the list.
+    r = WakeRequest(0.0, 1)
+    report = run(_two_relay_config([r, r]))
+    relays = [(0, "uav", "wake_request", "target=1")] * 2
+    for ns, buoy in ((33, "buoy0"), (667, "buoy1")):
+        relays += [(ns, buoy, "rf_arrival", "target=1"),
+                   (ns, buoy, "wus_emit", "tech=acoustic target=1")] * 2
+    assert [(e.time_ns, e.actor, e.kind, e.detail) for e in report.events] == relays + [
+        (33_333_366, "node1", "node_wake", "latency_s=0.033333366"),
+        (33_333_366, "node1", "wus_arrival", "ignored_active"),
+        (83_333_366, "node1", "node_sleep", ""),
+        (137_437_521, "node1", "wus_arrival", "duplicate_request"),
+        (137_437_521, "node1", "wus_arrival", "duplicate_request"),
+    ]
+    assert report.failures == []
+    assert report.nodes[1].wakes == 1
+    assert report.nodes[1].wake_latencies_s == [0.033333366]
 
 
 def test_back_to_back_requests_keep_node_active():
@@ -611,6 +633,22 @@ def test_simulate_lifetime_rejects_too_many_requests(monkeypatch):
     assert simulate_lifetime(make_node("acoustic"), 3600.0, 10 / 3600) > 0.0
     with pytest.raises(ConfigError, match="more than 10 requests"):
         simulate_lifetime(make_node("acoustic"), 3600.0, 11 / 3600)
+
+
+def test_simulate_lifetime_holds_no_object_per_request():
+    # 50,000 requests: the run log's 80 B per request (five events, two
+    # 8-byte columns) and a latency slot, well under the ~300 B a list of
+    # WakeRequests and their sorted times would add.
+    node, rate = make_node("acoustic"), 1200.0
+    hours = 50_000 / rate
+    simulate_lifetime(node, rate, 1.0)  # warm-up: first-call allocations
+    tracemalloc.start()
+    try:
+        simulate_lifetime(node, rate, hours)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150 * 50_000
 
 
 def test_node_defaults_fill_in():
