@@ -11,7 +11,6 @@ from .acoustic import (
     acoustic_max_range,
     received_power_density_dbm,
     thorp_absorption,
-    transmission_loss,
 )
 from .core import (
     ACOUSTIC,
@@ -21,8 +20,6 @@ from .core import (
     TECHNOLOGIES,
     Medium,
     Position3D,
-    dbm_to_linear,
-    linear_to_dbm,
     propagation_delay,
     solve_max_range,
 )
@@ -45,7 +42,7 @@ from .errors import (
     PolicyError,
     ValidationError,
 )
-from .mi import MiLinkParams, mi_max_range, mi_path_gain_db
+from .mi import MiLinkParams, mi_max_range
 from .optical import OpticalLinkParams, WaterType, extinction_coefficient, optical_max_range
 from .scenario import (
     load_preset,

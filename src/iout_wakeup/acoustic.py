@@ -92,12 +92,6 @@ class AcousticLinkParams(LinkLaw):
         return self.source_level_db - self.transmission_loss_db(d) + self.offset_db
 
 
-def transmission_loss(params: AcousticLinkParams, distance_m):
-    """Spreading + absorption path loss in dB, defined for d >= 1 m."""
-    params.check_distance(distance_m)
-    return params.transmission_loss_db(distance_m)
-
-
 # The link-law methods under this module's names (params passed first).
 received_power_density_dbm = LinkLaw.received_power_dbm
 sweep_received_power = LinkLaw.sweep

@@ -136,16 +136,13 @@ def _given(args, flags):
 
 
 def _sweep_params(args):
-    """The --tech link from the given link flags; a flag that sets no field
-    of that link (or of the medium it runs in) is an error."""
+    """The --tech link from the given link flags.  The medium flags set the
+    medium of a link that runs in one; ``make_link`` refuses a flag that
+    sets no field of the link, medium flags included for a link without one."""
     given = _given(args, _LINK_FLAGS.values())
-    accepted = set(link_fields(args.tech))
+    medium = Medium()
     if any(f.type is Medium for f in fields(LINK_TYPES[args.tech])):
-        accepted.update(_MEDIUM_FIELDS)
-    for name in given:
-        if name not in accepted:
-            raise _CliError(2, f"{name} is not a field of the {args.tech} link")
-    medium = Medium(**{name: given.pop(name) for name in _MEDIUM_FIELDS if name in given})
+        medium = Medium(**{name: given.pop(name) for name in _MEDIUM_FIELDS if name in given})
     return make_link(args.tech, medium, **given)
 
 

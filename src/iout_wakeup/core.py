@@ -36,27 +36,19 @@ MAX_POINTS = 1_000_000
 _FLOAT_MAX = sys.float_info.max
 
 
-def dbm_to_linear(p_dbm):
-    """dBm -> linear power (mW, or mW/m^2 for acoustic density values)."""
-    if p_dbm == NEG_INF_DBM:
-        return 0.0
-    return 10.0 ** (p_dbm / 10.0)
-
-
-def linear_to_dbm(p_linear):
-    """Linear power (mW or mW/m^2) -> dBm; 0 maps to the -inf sentinel."""
-    if p_linear < 0.0:
-        raise DomainError(f"negative linear power: {p_linear}")
-    if p_linear == 0.0:
-        return NEG_INF_DBM
-    return 10.0 * math.log10(p_linear)
-
-
 def by_technology(table, technology):
     """``table[technology]``; ConfigError unless it is one of TECHNOLOGIES."""
     if technology not in TECHNOLOGIES:
         raise ConfigError(f"unknown technology: {technology}")
     return table[technology]
+
+
+def check_names(given, names, what):
+    """DomainError naming the first of the ``given`` names, in their order,
+    that ``names`` does not hold: ``<name> is not a field of the <what>``."""
+    for name in given:
+        if name not in names:
+            raise DomainError(f"{name} is not a field of the {what}")
 
 
 def is_number(value):
@@ -177,9 +169,12 @@ class LinkLaw:
         return self.rx_dbm(distance_m)
 
     def sweep(self, d0, step, n):
-        """Received power at d0, d0+step, ... (n points).  The step must be
-        finite and non-negative, so checking the first and last points
-        checks them all."""
+        """Received power at d0, d0+step, ... (n points, an int from 0 to
+        MAX_POINTS).  The step must be finite and non-negative, so checking
+        the first and last points checks them all."""
+        n = field_value("sweep point count", int, n)
+        if not 0 <= n <= MAX_POINTS:
+            raise DomainError(f"sweep point count must be from 0 to {MAX_POINTS}: {n}")
         if not 0.0 <= step < math.inf:
             raise DomainError(f"sweep step must be finite and non-negative: {step} m")
         self.check_distance(d0)

@@ -9,9 +9,9 @@ hour they cause.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
-from .core import ACOUSTIC, MI, OPTICAL, by_technology, check_fields
+from .core import ACOUSTIC, MI, OPTICAL, by_technology, check_fields, check_names
 from .errors import DomainError, PolicyError
 
 NO_WAKEUP = "no_wakeup"
@@ -46,9 +46,16 @@ MI_ENERGY = EnergyProfile(950.0, 0.49, 0.043, 1.0)
 DEFAULT_ENERGY = {ACOUSTIC: ACOUSTIC_ENERGY, OPTICAL: OPTICAL_ENERGY, MI: MI_ENERGY}
 
 
+_ENERGY_FIELDS = frozenset(f.name for f in fields(EnergyProfile))
+
+
 def energy_profile(technology, **given):
-    """The reference profile of a technology with the given fields replaced."""
-    return replace(by_technology(DEFAULT_ENERGY, technology), **given)
+    """The reference profile of a technology with the given fields replaced;
+    a name that is not a field of ``EnergyProfile`` is a DomainError, the
+    first given."""
+    profile = by_technology(DEFAULT_ENERGY, technology)
+    check_names(given, _ENERGY_FIELDS, f"{technology} energy profile")
+    return replace(profile, **given)
 
 
 @dataclass(frozen=True)

@@ -59,19 +59,17 @@ class MiLinkParams(LinkLaw):
             )
 
     @property
-    def reference_distance_m(self):
+    def min_distance_m(self):
         """Dipole approximation is only trusted beyond the coil scale."""
         return max(self.coil_radius_tx_m, self.coil_radius_rx_m)
 
-    min_distance_m = reference_distance_m
-
     @property
     def max_range_bracket_m(self):
-        return (self.reference_distance_m, MAX_RANGE_BRACKET_MAX_M)
+        return (self.min_distance_m, MAX_RANGE_BRACKET_MAX_M)
 
     @property
     def sweep_range_m(self):
-        return (self.reference_distance_m, 100.0)
+        return (self.min_distance_m, 100.0)
 
     @cached_property
     def geometry_db(self):
@@ -101,13 +99,6 @@ class MiLinkParams(LinkLaw):
     def rx_dbm(self, d):
         """Near-field coupled-coil received power, dBm: a pure 1/d^6 law."""
         return self.const_db - 60.0 * log10(d)
-
-
-def mi_path_gain_db(params: MiLinkParams, distance_m):
-    """Channel gain in dB; exact -60 dB/decade slope (negative beyond a few
-    coil radii)."""
-    params.check_distance(distance_m)
-    return params.calibration_gain_db + params.geometry_db - 60.0 * log10(distance_m)
 
 
 # The link-law methods under this module's names (params passed first).

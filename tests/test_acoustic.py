@@ -11,7 +11,6 @@ from iout_wakeup.acoustic import (
     received_power_density_dbm,
     sweep_received_power,
     thorp_absorption,
-    transmission_loss,
 )
 from iout_wakeup.core import Medium
 from iout_wakeup.errors import DomainError
@@ -64,14 +63,14 @@ def test_absorption_near_the_float_range_is_finite():
 def test_transmission_loss_at_reference_distance():
     params = AcousticLinkParams()
     # log10(1) = 0; only the (negligible) absorption term remains
-    assert transmission_loss(params, 1.0) == pytest.approx(THORP_8K / 1000.0, abs=1e-12)
+    assert params.transmission_loss_db(1.0) == pytest.approx(THORP_8K / 1000.0, abs=1e-12)
 
 
 def test_transmission_loss_frozen_values():
-    assert transmission_loss(AcousticLinkParams(frequency_khz=8.0), 260.0) == pytest.approx(
+    assert AcousticLinkParams(frequency_khz=8.0).transmission_loss_db(260.0) == pytest.approx(
         48.508813891212704, rel=1e-12
     )
-    assert transmission_loss(AcousticLinkParams(frequency_khz=48.0), 190.0) == pytest.approx(
+    assert AcousticLinkParams(frequency_khz=48.0).transmission_loss_db(190.0) == pytest.approx(
         48.72463712670215, rel=1e-12
     )
 
@@ -82,14 +81,14 @@ def test_transmission_loss_increasing_in_distance_and_frequency():
         f = rng.uniform(1.0, 100.0)
         d = rng.uniform(1.0, 5000.0)
         params = AcousticLinkParams(frequency_khz=f)
-        assert transmission_loss(params, d * 1.5) > transmission_loss(params, d)
+        assert params.transmission_loss_db(d * 1.5) > params.transmission_loss_db(d)
         bumped = AcousticLinkParams(frequency_khz=f * 1.5)
-        assert transmission_loss(bumped, d) > transmission_loss(params, d)
+        assert bumped.transmission_loss_db(d) > params.transmission_loss_db(d)
 
 
 def test_transmission_loss_rejects_below_reference():
     with pytest.raises(DomainError):
-        transmission_loss(AcousticLinkParams(), 0.5)
+        received_power_density_dbm(AcousticLinkParams(), 0.5)
 
 
 def test_received_density_sensitivity_anchors():
@@ -109,7 +108,7 @@ def test_received_density_at_one_metre():
 def test_source_level_and_loss_consistency():
     params = AcousticLinkParams(frequency_khz=12.0)
     for d in (1.0, 50.0, 400.0):
-        rl_db = params.source_level_db - transmission_loss(params, d)
+        rl_db = params.source_level_db - params.transmission_loss_db(d)
         offset = -90.0 - 10.0 * math.log10(1000.0 * 1500.0)
         assert received_power_density_dbm(params, d) == pytest.approx(
             rl_db + offset, abs=1e-12

@@ -180,22 +180,24 @@ def test_results_beyond_the_float_range_exit_2(argv, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,detail",
     [
-        ["--tech", "acoustic", "--turns-tx", "3"],
-        ["--tech", "acoustic", "--water", "harbor"],
-        ["--tech", "optical", "--density-kg-m3", "1000"],
-        ["--tech", "mi", "--spreading", "10"],
-        ["--tech", "optical", "--water", "harbor", "--extinction-per-m", "0.1"],
-        ["--tech", "acoustic", "--dmax", "1e300"],
+        (["--tech", "acoustic", "--turns-tx", "3"], "turns_tx is not a field of the acoustic link"),
+        (["--tech", "acoustic", "--water", "harbor"],
+         "water_type is not a field of the acoustic link"),
+        (["--tech", "optical", "--density-kg-m3", "1000"],
+         "density_kg_m3 is not a field of the optical link"),
+        (["--tech", "mi", "--spreading", "10"], "spreading_exponent is not a field of the mi link"),
+        (["--tech", "optical", "--water", "harbor", "--extinction-per-m", "0.1"],
+         "give water_type or extinction_per_m, not both"),
+        (["--tech", "acoustic", "--dmax", "1e300"], "grid of more than 1000000 points"),
     ],
+    ids=[f"argv{i}" for i in range(6)],
 )
-def test_sweep_range_rejected_flags_exit_2(argv, capsys):
+def test_sweep_range_rejected_flags_exit_2(argv, detail, capsys):
     rc = main(["sweep-range", *argv])
     assert rc == 2
-    line = _assert_one_error_line(rc, capsys)
-    if "--water" in argv and "--extinction-per-m" in argv:
-        assert line.endswith("give water_type or extinction_per_m, not both")
+    assert _assert_one_error_line(rc, capsys) == f"error: 2: {detail}"
 
 
 # start 1 and step 1, so the stop is the last point of the grid

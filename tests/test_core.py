@@ -7,40 +7,14 @@ import pytest
 from iout_wakeup.core import (
     ACOUSTIC,
     MI,
-    NEG_INF_DBM,
     OPTICAL,
     Medium,
     Position3D,
-    dbm_to_linear,
-    linear_to_dbm,
     propagation_delay,
     solve_max_range,
 )
 from iout_wakeup.errors import DomainError, NoSolution
 from iout_wakeup.sim import LINK_TYPES, Node
-
-
-def test_dbm_definition_values():
-    assert dbm_to_linear(0.0) == 1.0
-    assert dbm_to_linear(30.0) == pytest.approx(1000.0, rel=1e-12)
-    assert dbm_to_linear(-10.0) == pytest.approx(0.1, rel=1e-12)
-
-
-def test_dbm_sentinel_round_trip():
-    assert dbm_to_linear(NEG_INF_DBM) == 0.0
-    assert linear_to_dbm(0.0) == NEG_INF_DBM
-
-
-def test_negative_linear_power_rejected():
-    with pytest.raises(DomainError):
-        linear_to_dbm(-1.0)
-
-
-def test_dbm_round_trip_exact_to_1e9():
-    rng = random.Random(7)
-    values = [-200.0, -53.0, 0.0, 30.0, 200.0] + [rng.uniform(-200, 200) for _ in range(500)]
-    for p in values:
-        assert abs(linear_to_dbm(dbm_to_linear(p)) - p) < 1e-9
 
 
 def test_position_distance():

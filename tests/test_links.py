@@ -8,7 +8,7 @@ import pytest
 
 from iout_wakeup import acoustic, mi, optical
 from iout_wakeup.core import NEG_INF_DBM, Medium
-from iout_wakeup.errors import DomainError
+from iout_wakeup.errors import ConfigError, DomainError
 from iout_wakeup.mi import MiLinkParams
 from iout_wakeup.optical import OpticalLinkParams
 from iout_wakeup.sim import LINK_TYPES
@@ -58,6 +58,23 @@ def test_what_a_law_cannot_evaluate_rejected(cls):
     with pytest.raises(DomainError, match="finite"):  # the last point overflows
         params.sweep(d0, sys.float_info.max, 3)
     assert params.sweep(d0, 0.0, 3) == [params.rx_dbm(d0)] * 3
+
+
+@pytest.mark.parametrize(
+    "n,error",
+    [(11, DomainError), (-1, DomainError), (10.0, ConfigError), (True, ConfigError),
+     ("3", DomainError), (None, DomainError)],
+    ids=["above-max", "negative", "float", "bool", "str", "none"],
+)
+@pytest.mark.parametrize("cls", LINK_TYPES.values(), ids=lambda c: c.__name__)
+def test_sweep_takes_an_int_count_up_to_max_points(cls, n, error, monkeypatch):
+    monkeypatch.setattr("iout_wakeup.core.MAX_POINTS", 10)
+    params = cls()
+    d0 = max(params.min_distance_m, 0.1)
+    assert params.sweep(d0, 1.0, 0) == []
+    assert len(params.sweep(d0, 1.0, 10)) == 10
+    with pytest.raises(error, match="^sweep point count must be"):
+        params.sweep(d0, 1.0, n)
 
 
 @pytest.mark.parametrize(

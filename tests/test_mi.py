@@ -10,7 +10,6 @@ from iout_wakeup.errors import DomainError
 from iout_wakeup.mi import (
     MiLinkParams,
     mi_max_range,
-    mi_path_gain_db,
     received_power_dbm,
     sweep_received_power,
 )
@@ -31,8 +30,8 @@ def test_distance_doubling_law():
             misalignment_beta_deg=rng.uniform(0.0, 89.0),
             calibration_gain_db=rng.uniform(-30.0, 10.0),
         )
-        d = rng.uniform(params.reference_distance_m, 200.0)
-        drop = mi_path_gain_db(params, 2.0 * d) - mi_path_gain_db(params, d)
+        d = rng.uniform(params.min_distance_m, 200.0)
+        drop = received_power_dbm(params, 2.0 * d) - received_power_dbm(params, d)
         assert drop == pytest.approx(-DOUBLE_DISTANCE_DB, abs=1e-9)
 
 
@@ -45,7 +44,7 @@ def test_exact_minus_60_db_per_decade():
 
 def test_orthogonal_coils_are_sentinel():
     params = MiLinkParams(misalignment_beta_deg=90.0)
-    assert mi_path_gain_db(params, 10.0) == NEG_INF_DBM
+    assert params.rx_dbm(10.0) == NEG_INF_DBM
     assert received_power_dbm(params, 10.0) == NEG_INF_DBM
 
 
@@ -121,10 +120,11 @@ def test_sweep_matches_scalar():
 def test_domain_below_coil_scale_rejected():
     params = MiLinkParams()
     with pytest.raises(DomainError):
-        mi_path_gain_db(params, 0.4)
-    # valid from the coil scale onward, negative in the far field
-    assert mi_path_gain_db(params, params.reference_distance_m) > mi_path_gain_db(params, 10.0)
-    assert mi_path_gain_db(params, 10.0) < 0.0
+        received_power_dbm(params, 0.4)
+    # valid from the coil scale onward; the channel gain (received over
+    # transmitted power) is negative in the far field
+    assert received_power_dbm(params, params.min_distance_m) > received_power_dbm(params, 10.0)
+    assert params.rx_dbm(10.0) - 10.0 * math.log10(params.transmit_power_mw) < 0.0
 
 
 def test_param_validation():

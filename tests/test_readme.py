@@ -1,5 +1,6 @@
 """The README's CLI examples, run through ``cli.main``: each command must
-print exactly the ``# `` lines the README shows after it."""
+print exactly the ``# `` lines the README shows after it.  The Library
+section's ``python`` block is run as well, so a name it uses must exist."""
 
 import re
 import shlex
@@ -12,13 +13,18 @@ from iout_wakeup.cli import main
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def _blocks(section, language):
+    """The ``language`` code blocks of a ``## `` section of the README."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(rf"```{language}\n(.*?)```", section, re.S)
+
+
 def _cli_examples():
     """(argv, stdout) of each ``iout-wakeup`` command in the CLI section's
     ``sh`` blocks; a command's output is the ``# `` lines that follow it."""
-    text = README.read_text(encoding="utf-8")
-    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     examples = []
-    for block in re.findall(r"```sh\n(.*?)```", section, re.S):
+    for block in _blocks("CLI", "sh"):
         for line in block.replace("\\\n", " ").splitlines():
             if line.startswith("iout-wakeup "):
                 examples.append((shlex.split(line)[1:], ""))
@@ -40,3 +46,8 @@ def test_readme_cli_example(argv, stdout, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # the examples write their --out files here
     assert main(argv) == 0
     assert capsys.readouterr().out == stdout
+
+
+def test_readme_library_block_runs():
+    (block,) = _blocks("Library", "python")
+    exec(compile(block, "README.md", "exec"), {})

@@ -483,6 +483,28 @@ def test_unknown_technology_is_a_config_error(call, message):
         call()
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: make_link("acoustic", turns_tx=3), "turns_tx is not a field of the acoustic link"),
+        (lambda: make_link("acoustic", water_type="coastal"),
+         "water_type is not a field of the acoustic link"),
+        (lambda: make_link("mi", water_type="coastal"), "water_type is not a field of the mi link"),
+        (lambda: make_link("optical", turns_tx=3, foo=1), "turns_tx is not a field of the optical link"),
+        (lambda: make_link("optical", foo=1, turns_tx=3), "foo is not a field of the optical link"),
+        (lambda: energy_profile("acoustic", foo=1),
+         "foo is not a field of the acoustic energy profile"),
+        (lambda: energy_profile("mi", capacity_mah=1.0, foo=1),
+         "capacity_mah is not a field of the mi energy profile"),
+    ],
+    ids=["acoustic-turns", "acoustic-water", "mi-water", "first-of-two", "first-of-two-reversed",
+         "energy-unknown", "energy-first-of-two"],
+)
+def test_a_name_a_builder_does_not_take_is_a_domain_error(call, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
+
+
 def test_state_is_valid_enum_during_run():
     node = make_node("acoustic", address=1, depth_m=100.0)
     report = run(_config([node], [WakeRequest(0.0, 1)], horizon_s=0.5))
