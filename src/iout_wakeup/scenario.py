@@ -20,7 +20,7 @@ from itertools import chain, islice
 from .core import TECHNOLOGIES, LinkLaw, Medium, Position3D, by_technology, field_value
 from .energy import EnergyProfile, energy_profile
 from .errors import ConfigError, DomainError, ParseError, ValidationError
-from .sim import Buoy, Node, SimConfig, Uav, WakeRequest, link_fields, make_link
+from .sim import Buoy, Node, SimConfig, Uav, WakeRequest, link_fields, make_link, seconds_text
 
 PRESET_NAMES = ("acoustic-fig3", "optical-fig4", "mi-fig5")
 
@@ -150,12 +150,13 @@ def parse_scenario_data(data) -> SimConfig:
             _record(WakeRequest, _REQUEST_KEYS, raw, f"wake_requests[{i}]", _REQUEST_KEYS)
             for i, raw in enumerate(_list(data, "wake_requests", False))
         ]
-    if "horizon_s" in data:
-        try:
+    # a rule that spans records is the config's, checked as it is built
+    try:
+        if "horizon_s" in data:
             given["horizon_s"] = field_value("horizon_s", float, data["horizon_s"])
-        except (DomainError, ConfigError) as exc:
-            raise ValidationError(f"scenario: {exc}") from None
-    return SimConfig(uav=uav, buoys=buoys, nodes=nodes, **given)
+        return SimConfig(uav=uav, buoys=buoys, nodes=nodes, **given)
+    except (DomainError, ConfigError) as exc:
+        raise ValidationError(f"scenario: {exc}") from None
 
 
 def parse_scenario_text(text) -> SimConfig:
@@ -265,7 +266,7 @@ def write_lifetime_csv(path, rows):
 
 
 def write_events_csv(path, report):
-    lines = report.events.lines(lambda time_ns: f"{time_ns / 1e9:.9f}", ",{},{},{}\n".format)
+    lines = report.events.lines(seconds_text, ",{},{},{}\n".format)
     _write_csv(path, chain(["time_s,actor,kind,detail\n"], lines))
 
 

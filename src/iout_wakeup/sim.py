@@ -36,7 +36,7 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from heapq import heappop, heappush
 from operator import eq, itemgetter
 
@@ -121,10 +121,12 @@ def make_link(technology, medium=Medium(), **given):
     does not list is a DomainError, the first given."""
     cls, names, medium_fields = by_technology(_LINKS, technology)
     check_names(given, names, f"{technology} link")
-    water_type = given.pop("water_type", None)
-    if water_type is not None:
+    if "water_type" in given:
+        water_type = given.pop("water_type")
         if "extinction_per_m" in given:
             raise DomainError("give water_type or extinction_per_m, not both")
+        if water_type is None:  # refused as every field refuses an explicit None
+            raise DomainError("water_type must be a water type: None")
         given["extinction_per_m"] = optical.extinction_coefficient(water_type)
     for name in medium_fields:
         given[name] = medium
@@ -136,6 +138,16 @@ def _to_ns(seconds):
     beyond any horizon."""
     ns = seconds * _NS
     return round(ns) if ns <= _FLOAT_MAX else math.inf
+
+
+def seconds_text(ns):
+    """Whole ns as seconds with nine decimals, exact at any size (``inf``
+    past the float range)."""
+    if ns == math.inf:
+        return "inf"
+    # %-formatting of the int pair costs what a float's .9f does; an
+    # f-string of the two parts costs a third more
+    return "%d.%09d" % divmod(ns, _NS)
 
 
 def _valid_horizon(horizon_s):
@@ -233,13 +245,54 @@ class WakeRequest:
         _check_address(self.target_address, "request address")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
+    """The records of a run and its horizon.  Each record checks its own
+    fields; the config checks the rules that span records when it is
+    built, and stores each list as a tuple."""
+
     uav: Uav
-    buoys: list
-    nodes: list
-    wake_requests: list = field(default_factory=list)
+    buoys: tuple
+    nodes: tuple
+    wake_requests: tuple = ()
     horizon_s: float = 3600.0
+
+    def __post_init__(self):
+        if not _valid_horizon(self.horizon_s):
+            raise ConfigError(
+                f"horizon must be positive and finite in whole ns: {self.horizon_s!r}"
+            )
+        horizon_s = _to_ns(self.horizon_s) / _NS
+        if not isinstance(self.uav, Uav):
+            raise ConfigError(f"uav must be a Uav: {self.uav!r}")
+        for name, record in (("buoys", Buoy), ("nodes", Node), ("wake_requests", WakeRequest)):
+            items = getattr(self, name)
+            if not isinstance(items, (list, tuple)):
+                raise ConfigError(f"{name} must be a list: {items!r}")
+            for i, item in enumerate(items):
+                if not isinstance(item, record):
+                    raise ConfigError(f"{name}[{i}] must be a {record.__name__}: {item!r}")
+            object.__setattr__(self, name, tuple(items))
+        if not self.buoys:
+            raise ConfigError("config needs at least one buoy")
+        seen = set()
+        for node in self.nodes:
+            if node.address in seen:
+                raise ConfigError(f"duplicate address: {node.address}")
+            seen.add(node.address)
+            # the largest charge a run computes, in mA*s
+            if not node.energy.active_current_ma * horizon_s <= sys.float_info.max:
+                raise ConfigError(
+                    f"node {node.address}: {node.energy.active_current_ma} mA over the "
+                    f"{self.horizon_s} s horizon is a charge beyond the float range"
+                )
+            d_min = node.link_params.min_distance_m
+            for i, buoy in enumerate(self.buoys):
+                if buoy.position.distance_to(node.position) < max(d_min, 1e-9):
+                    raise ConfigError(
+                        f"node {node.address} closer than the link model's reference "
+                        f"distance to buoy {i}"
+                    )
 
 
 # The run's records are built from its log each time they are read, so
@@ -446,48 +499,6 @@ class _NodeRuntime:
         return self.depleted_ns is not None
 
 
-def _check_records(config, name, record):
-    """A list field of the config holds a list (or tuple) of ``record``s."""
-    items = getattr(config, name)
-    if not isinstance(items, (list, tuple)):
-        raise ConfigError(f"{name} must be a list: {items!r}")
-    for i, item in enumerate(items):
-        if not isinstance(item, record):
-            raise ConfigError(f"{name}[{i}] must be a {record.__name__}: {item!r}")
-
-
-def _validate(config: SimConfig):
-    """The rules that span records; each record checks its own fields."""
-    if not _valid_horizon(config.horizon_s):
-        raise ConfigError(f"horizon must be positive and finite in whole ns: {config.horizon_s!r}")
-    horizon_s = _to_ns(config.horizon_s) / _NS
-    if not isinstance(config.uav, Uav):
-        raise ConfigError(f"uav must be a Uav: {config.uav!r}")
-    _check_records(config, "buoys", Buoy)
-    _check_records(config, "nodes", Node)
-    _check_records(config, "wake_requests", WakeRequest)
-    if not config.buoys:
-        raise ConfigError("config needs at least one buoy")
-    seen = set()
-    for node in config.nodes:
-        if node.address in seen:
-            raise ConfigError(f"duplicate address: {node.address}")
-        seen.add(node.address)
-        # the largest charge a run computes, in mA*s
-        if not node.energy.active_current_ma * horizon_s <= sys.float_info.max:
-            raise ConfigError(
-                f"node {node.address}: {node.energy.active_current_ma} mA over the "
-                f"{config.horizon_s} s horizon is a charge beyond the float range"
-            )
-        d_min = node.link_params.min_distance_m
-        for i, buoy in enumerate(config.buoys):
-            if buoy.position.distance_to(node.position) < max(d_min, 1e-9):
-                raise ConfigError(
-                    f"node {node.address} closer than the link model's reference "
-                    f"distance to buoy {i}"
-                )
-
-
 def _link_table(buoy, hop_ns, runtimes, technology, events, failures):
     """(delay_ns, address, runtime, miss, wake) from a buoy, ``hop_ns``
     after the UAV, to each node of a technology, sorted by (delay_ns,
@@ -514,8 +525,9 @@ def _link_table(buoy, hop_ns, runtimes, technology, events, failures):
                                    f"sensitivity {node.sensitivity_dbm:.3f} dBm"),
                 )
             else:
-                latency_s = (hop_ns + delay_ns) / _NS
-                wake = (latency_s, events.entry(actor, "node_wake", f"latency_s={latency_s:.9f}"))
+                latency_ns = hop_ns + delay_ns
+                wake = (latency_ns / _NS, events.entry(actor, "node_wake",
+                                                       f"latency_s={seconds_text(latency_ns)}"))
             table.append((delay_ns, node.address, nrt, miss, wake))
     table.sort(key=itemgetter(0, 1))
     return table
@@ -539,11 +551,10 @@ def run(config: SimConfig) -> SimReport:
     """Run the event loop to the horizon and assemble the report.
 
     Protocol outcomes (missed wake-ups, mismatches, depleted targets) are
-    report records, never exceptions; only an invalid config raises.  The
-    cyclic garbage collector is paused for the run.
+    report records, never exceptions.  The cyclic garbage collector is
+    paused for the run.
     """
     with _gc_paused():
-        _validate(config)
         # Sorted stably by whole ns, not by time_s: two times can round to
         # one ns, and config order must then decide.  A request is its own
         # token, so one listed twice is one request.
@@ -552,7 +563,7 @@ def run(config: SimConfig) -> SimReport:
 
 
 def _run(config: SimConfig, requests) -> SimReport:
-    """The run of a validated config on ``requests``, an iterable of
+    """The run of a config on ``requests``, an iterable of
     (whole ns, target, token) in run order.  Relays of requests with one
     token (compared with ``is``) wake a node once."""
     horizon_ns = _to_ns(config.horizon_s)
@@ -767,7 +778,6 @@ def simulate_lifetime(node: Node, wake_rate_per_hour, horizon_hours):
         horizon_s=horizon_s,
     )
     with _gc_paused():
-        _validate(config)
         report = _run(config, requests)
     nrep = report.nodes[node.address]
     if nrep.depleted:

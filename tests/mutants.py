@@ -111,6 +111,51 @@ MUTANTS = [
         "test": "tests/test_cli.py::test_sweep_range_rejected_flags_exit_2",
     },
     {
+        "name": "duplicate-address-built",
+        "why": "a config with a repeated address is refused when built, not when run",
+        "file": "src/iout_wakeup/sim.py",
+        "old": "            if node.address in seen:\n"
+               '                raise ConfigError(f"duplicate address: {node.address}")\n',
+        "new": "",
+        "test": "tests/test_sim.py::test_a_config_is_checked_when_built[duplicate-address]",
+    },
+    {
+        "name": "csv-times-through-a-float",
+        "why": "the events CSV prints each time as the log holds it, past 2**23 s too",
+        "file": "src/iout_wakeup/scenario.py",
+        "old": "report.events.lines(seconds_text, ",
+        "new": 'report.events.lines(lambda time_ns: f"{time_ns / 1e9:.9f}", ',
+        "test": "tests/test_scenario.py::test_events_csv_times_are_the_logged_times",
+    },
+    {
+        "name": "bisection-keeps-the-wrong-half",
+        "why": "the range solve keeps the half that holds the sensitivity crossing",
+        "file": "src/iout_wakeup/core.py",
+        "old": "        if rx_power_dbm(mid) >= sensitivity_dbm:\n            lo = mid",
+        "new": "        if rx_power_dbm(mid) < sensitivity_dbm:\n            lo = mid",
+        "test": "tests/test_links.py::test_max_range_finds_the_crossing_or_says_there_is_none",
+    },
+    {
+        "name": "sweep-accumulates-the-step",
+        "why": "a sweep point is the law at d0 + i * step, not at a running sum",
+        "file": "src/iout_wakeup/core.py",
+        "old": "        return [rx_dbm(d0 + i * step) for i in range(n)]",
+        "new": "        points, d = [], d0\n"
+               "        for _ in range(n):\n"
+               "            points.append(rx_dbm(d))\n"
+               "            d += step\n"
+               "        return points",
+        "test": "tests/test_links.py::test_a_sweep_is_the_law_at_each_point",
+    },
+    {
+        "name": "absorption-changes-sign",
+        "why": "acoustic received power does not rise at long range",
+        "file": "src/iout_wakeup/acoustic.py",
+        "old": "        return self.spreading_exponent * log10(d) + self.alpha_db_per_km * d / 1000.0",
+        "new": "        return self.spreading_exponent * log10(d) - self.alpha_db_per_km * d / 1000.0",
+        "test": "tests/test_links.py::test_rx_does_not_increase_over_the_range_bracket",
+    },
+    {
         "name": "horizon-not-serialized",
         "why": "the scenario format carries every field of a config",
         "file": "src/iout_wakeup/scenario.py",

@@ -394,13 +394,16 @@ def test_simulate_empty_requests_pure_sleep_charge(tmp_path):
          "buoys[0]: unknown transmitter technology: laser"),
         ({}, {"buoys": [{"position": [0, 0, 0], "transmitters": [["mi"], ["mi"]]}]},
          "buoys[0]: unknown transmitter technology: ['mi']"),
+        ({}, {"nodes": [{"address": 1, "position": [0, 0, 50], "tech": "acoustic"},
+                        {"address": 1, "position": [0, 0, 20], "tech": "mi"}]},
+         "scenario: duplicate address: 1"),
     ],
     ids=[
         "node-above-surface", "link-domain", "energy-domain", "nan-sensitivity",
         "nan-horizon", "horizon-beyond-ns", "infinite-request-time", "infinite-rf-range",
         "absorption-overflow", "coil-factor-overflow", "repeated-transmitter",
         "buoy-off-surface", "wide-address", "request-before-zero", "uav-below-surface",
-        "unknown-transmitter", "unhashable-transmitter",
+        "unknown-transmitter", "unhashable-transmitter", "duplicate-address",
     ],
 )
 def test_simulate_invalid_scenario_exits_4(node, top, detail, tmp_path, capsys):

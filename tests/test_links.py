@@ -5,13 +5,15 @@ import sys
 from dataclasses import fields
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from iout_wakeup import acoustic, mi, optical
-from iout_wakeup.core import NEG_INF_DBM, Medium
-from iout_wakeup.errors import ConfigError, DomainError
+from iout_wakeup.core import NEG_INF_DBM, TECHNOLOGIES, Medium
+from iout_wakeup.errors import ConfigError, DomainError, NoSolution
 from iout_wakeup.mi import MiLinkParams
 from iout_wakeup.optical import OpticalLinkParams
-from iout_wakeup.sim import LINK_TYPES
+from iout_wakeup.sim import LINK_TYPES, link_fields, make_link
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -110,3 +112,100 @@ def test_both_misalignment_laws_apply_one_rule(cls):
     for d in (max(aligned.min_distance_m, 1e-3), 1.0, 44.0, 1e4, 1e300):
         assert orthogonal.sweep(d, 1.0, 1) == [NEG_INF_DBM]
         assert zero.sweep(d, 1.0, 1) == aligned.sweep(d, 1.0, 1)
+
+
+# ---------------------------------------------------------------------------
+# the laws of links built from drawn fields
+
+_FLOATS = st.one_of(
+    st.integers(0, 90).map(float),
+    st.floats(0.0, 100.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _value(kind):
+    """A value of a ``link_fields`` type: a float, an int or a water type."""
+    if kind is float:
+        return _FLOATS
+    if kind is int:
+        return st.one_of(st.integers(1, 100), st.integers())
+    return st.sampled_from(list(kind))
+
+
+@st.composite
+def _links(draw):
+    """A link of any technology, each name of ``link_fields`` left out (its
+    default) or given a drawn value of its type; a draw that does not build
+    is dropped."""
+    tech = draw(st.sampled_from(TECHNOLOGIES))
+    given = {name: draw(_value(kind)) for name, kind in link_fields(tech).items()
+             if draw(st.booleans())}
+    try:
+        return make_link(tech, **given)
+    except (DomainError, ConfigError):
+        assume(False)
+
+
+def _bits(values):
+    return [x.hex() for x in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_links(), st.data())
+def test_rx_does_not_increase_over_the_range_bracket(params, data):
+    """The monotone contract the range solver relies on."""
+    d_min, d_max = params.max_range_bracket_m
+    assume(d_min < d_max)
+    distances = sorted(data.draw(st.lists(st.floats(d_min, d_max), min_size=2, max_size=20)))
+    rx = [params.rx_dbm(d) for d in distances]
+    assert all(near >= far for near, far in zip(rx, rx[1:])), (distances, rx)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_links(), st.data())
+def test_a_sweep_is_the_law_at_each_point(params, data):
+    d0 = data.draw(st.floats(min_value=params.min_distance_m, max_value=sys.float_info.max,
+                             exclude_min=params.min_distance_m == 0.0))
+    step = data.draw(st.one_of(st.floats(0.0, 10.0), st.floats(0.0, sys.float_info.max)))
+    n = data.draw(st.integers(0, 30))
+    try:
+        swept = params.sweep(d0, step, n)
+    except DomainError:  # its last point is past the float range
+        assume(False)
+    assert _bits(swept) == _bits(params.rx_dbm(d0 + i * step) for i in range(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_links(), st.data())
+def test_max_range_finds_the_crossing_or_says_there_is_none(params, data):
+    """NoSolution exactly when the bracket's ends do not hold the crossing;
+    otherwise a range in the bracket with the sensitivity met one
+    tolerance closer and missed one tolerance farther (clipped to the
+    bracket)."""
+    d_min, d_max = params.max_range_bracket_m
+    assume(d_min < d_max)
+    rx = params.rx_dbm
+    sensitivity = data.draw(st.one_of(st.floats(d_min, d_max).map(rx),
+                                      st.floats(allow_nan=False, allow_infinity=False)))
+    assume(math.isfinite(sensitivity))
+    if rx(d_min) < sensitivity or rx(d_max) >= sensitivity:
+        with pytest.raises(NoSolution):
+            params.max_range(sensitivity)
+        return
+    tol = 0.01
+    r = params.max_range(sensitivity, tol)
+    assert d_min <= r <= d_max
+    assert rx(max(r - tol, d_min)) >= sensitivity > rx(min(r + tol, d_max))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_links(), st.one_of(st.floats(), st.floats(0.0, 2.0)))
+def test_received_power_is_refused_exactly_where_the_distance_is(params, d):
+    try:
+        params.check_distance(d)
+    except DomainError:
+        with pytest.raises(DomainError):
+            params.received_power_dbm(d)
+    else:
+        assert _bits([params.received_power_dbm(d)]) == _bits([params.rx_dbm(d)])

@@ -32,6 +32,12 @@ def test_unknown_water_type_is_a_domain_error():
             maker("muddy")
 
 
+def test_an_explicit_none_water_type_is_a_domain_error():
+    # as extinction_per_m=None is: None is a value given, not "not given"
+    with pytest.raises(DomainError, match="^water_type must be a water type: None$"):
+        make_link("optical", water_type=None)
+
+
 def test_extinction_ordering():
     values = [extinction_coefficient(w) for w in WaterType]
     assert all(a < b for a, b in zip(values, values[1:]))

@@ -2,15 +2,18 @@
 
 import json
 import math
+import os
 import sys
+import tempfile
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from iout_wakeup.core import TECHNOLOGIES, Position3D
 from iout_wakeup.energy import DEFAULT_ENERGY
-from iout_wakeup.errors import ConfigError, ParseError, ValidationError
+from iout_wakeup.errors import ParseError, ValidationError
 from iout_wakeup.scenario import (
     PRESET_NAMES,
     fmt6,
@@ -19,8 +22,9 @@ from iout_wakeup.scenario import (
     parse_scenario_text,
     preset_text,
     scenario_to_json,
+    write_events_csv,
 )
-from iout_wakeup.sim import SimConfig, run
+from iout_wakeup.sim import Buoy, SimConfig, Uav, WakeRequest, make_node, run
 
 MINIMAL = json.dumps(
     {
@@ -232,12 +236,51 @@ def mutated_documents(draw):
 @settings(max_examples=300, deadline=None)
 @given(mutated_documents())
 def test_any_mutated_document_parses_or_is_rejected_and_runs_or_is_rejected(text):
+    """A document that parses is a config that runs: every rule that spans
+    records is checked while parsing."""
     try:
         config = parse_scenario_text(text)
     except (ParseError, ValidationError):
         return
     assert isinstance(config, SimConfig)
-    try:
-        run(config)
-    except ConfigError:
-        pass
+    run(config)
+
+
+def _late_config(times_s, horizon_s):
+    """One node per technology 10 m under a buoy, each address and an
+    unknown one requested at the given times."""
+    nodes = [make_node(tech, address=a) for a, tech in enumerate(TECHNOLOGIES, start=1)]
+    return SimConfig(
+        uav=Uav(Position3D(0.0, 0.0, -10.0)),
+        buoys=[Buoy(Position3D(0.0, 0.0, 0.0))],
+        nodes=nodes,
+        wake_requests=[WakeRequest(t, a) for t, a in times_s],
+        horizon_s=horizon_s,
+    )
+
+
+@st.composite
+def _late_configs(draw):
+    """Requests and horizons past 2**23 s, where a float time in seconds
+    no longer holds each whole ns (and past 2**64 ns too); the nodes run
+    flat from 2.28e8 s on."""
+    horizon_s = draw(st.floats(2.0**23, 2.0**50))
+    times = st.floats(2.0**23, horizon_s)
+    targets = st.sampled_from([1, 2, 3, 9])
+    requests = [(draw(times), draw(targets)) for _ in range(draw(st.integers(1, 4)))]
+    return _late_config(requests, horizon_s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_late_configs())
+@example(_late_config([(16777219.123456789, 1)], 1e9))
+def test_events_csv_times_are_the_logged_times(config):
+    report = run(config)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "events.csv")
+        write_events_csv(path, report)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()[1:]
+    assert len(lines) == len(report.events)
+    for line, event in zip(lines, report.events):
+        assert Decimal(line.split(",")[0]) * 10**9 == event.time_ns, line

@@ -130,8 +130,8 @@ def test_uav_out_of_rf_range_blocks_everything():
 def test_rf_disabled_buoy_does_not_relay():
     node = make_node("acoustic", address=1, depth_m=100.0)
     config = _config([node], [WakeRequest(0.0, 1)])
-    config.buoys[0] = dataclasses.replace(config.buoys[0], rf_wakeup_enabled=False)
-    report = run(config)
+    buoy = dataclasses.replace(config.buoys[0], rf_wakeup_enabled=False)
+    report = run(dataclasses.replace(config, buoys=[buoy]))
     assert [e.kind for e in report.events] == ["wake_request"]
     assert report.failures[0].detail == "no buoy within rf range"
 
@@ -356,7 +356,7 @@ def test_buoy_rejects_a_non_finite_rf_sensitivity(value):
 def test_a_buoy_that_builds_round_trips(value):
     buoy = Buoy(Position3D(0.0, 0.0, 0.0), rf_sensitivity_dbm=value)
     config = _config([make_node("acoustic", address=1, depth_m=100.0)], [WakeRequest(0.0, 1)])
-    config.buoys = [buoy]
+    config = dataclasses.replace(config, buoys=[buoy])
     parsed = parse_scenario_text(scenario_to_json(config))
     assert parsed.buoys[0].rf_sensitivity_dbm == float(value)
 
@@ -366,18 +366,18 @@ def test_config_rejects_node_above_surface():
         run(_config([make_node("acoustic", depth_m=-5.0)], []))
 
 
-# A horizon is checked by run; a field of a record by the record's constructor,
-# so those cases only build the record.
+# A horizon is checked by the config's constructor, a field of a record by the
+# record's, so each case only builds the config or the record.
 @pytest.mark.parametrize(
     "change,error",
     [
-        (lambda c: setattr(c, "horizon_s", float("nan")), ConfigError),
-        (lambda c: setattr(c, "horizon_s", float("inf")), ConfigError),
-        (lambda c: setattr(c, "horizon_s", 1e300), ConfigError),
-        (lambda c: setattr(c, "horizon_s", 10**400), ConfigError),
-        (lambda c: setattr(c, "horizon_s", 4e-10), ConfigError),
+        (lambda c: dataclasses.replace(c, horizon_s=float("nan")), ConfigError),
+        (lambda c: dataclasses.replace(c, horizon_s=float("inf")), ConfigError),
+        (lambda c: dataclasses.replace(c, horizon_s=1e300), ConfigError),
+        (lambda c: dataclasses.replace(c, horizon_s=10**400), ConfigError),
+        (lambda c: dataclasses.replace(c, horizon_s=4e-10), ConfigError),
         # a bool is a number of the wrong type, not a 1 s horizon
-        (lambda c: setattr(c, "horizon_s", True), ConfigError),
+        (lambda c: dataclasses.replace(c, horizon_s=True), ConfigError),
         (lambda c: Uav(c.uav.position, float("nan")), DomainError),
         (lambda c: make_node("acoustic", sensitivity_dbm=float("nan")), DomainError),
         (lambda c: WakeRequest(float("nan"), 1), DomainError),
@@ -401,8 +401,8 @@ def test_config_rejects_node_above_surface():
         (lambda c: Buoy(Position3D(0.0, 0.0, 0.0), rf_wakeup_enabled=1), ConfigError),
         # a value that is not a number, a position or a profile is a typed
         # error, not a TypeError or an AttributeError
-        (lambda c: setattr(c, "horizon_s", "10"), ConfigError),
-        (lambda c: setattr(c, "horizon_s", None), ConfigError),
+        (lambda c: dataclasses.replace(c, horizon_s="10"), ConfigError),
+        (lambda c: dataclasses.replace(c, horizon_s=None), ConfigError),
         (lambda c: WakeRequest("0", 1), DomainError),
         (lambda c: WakeRequest(None, 1), DomainError),
         (lambda c: make_node("acoustic", address="1"), DomainError),
@@ -436,12 +436,15 @@ def test_config_rejects_non_finite_values(change, error):
 @pytest.mark.parametrize(
     "change,message",
     [
-        (lambda c: setattr(c, "uav", "x"), r"^uav must be a Uav: 'x'$"),
-        (lambda c: setattr(c, "nodes", None), r"^nodes must be a list: None$"),
-        (lambda c: setattr(c, "wake_requests", None), r"^wake_requests must be a list: None$"),
-        (lambda c: c.nodes.append("x"), r"^nodes\[1\] must be a Node: 'x'$"),
-        (lambda c: setattr(c, "buoys", [c.uav]), r"^buoys\[0\] must be a Buoy: Uav\("),
-        (lambda c: c.wake_requests.append(1), r"^wake_requests\[1\] must be a WakeRequest: 1$"),
+        (lambda c: dataclasses.replace(c, uav="x"), r"^uav must be a Uav: 'x'$"),
+        (lambda c: dataclasses.replace(c, nodes=None), r"^nodes must be a list: None$"),
+        (lambda c: dataclasses.replace(c, wake_requests=None),
+         r"^wake_requests must be a list: None$"),
+        (lambda c: dataclasses.replace(c, nodes=[*c.nodes, "x"]),
+         r"^nodes\[1\] must be a Node: 'x'$"),
+        (lambda c: dataclasses.replace(c, buoys=[c.uav]), r"^buoys\[0\] must be a Buoy: Uav\("),
+        (lambda c: dataclasses.replace(c, wake_requests=[*c.wake_requests, 1]),
+         r"^wake_requests\[1\] must be a WakeRequest: 1$"),
         (lambda c: Buoy(Position3D(0.0, 0.0, 0.0), transmitters=5),
          r"^transmitters must be a tuple of technologies: 5$"),
     ],
@@ -453,6 +456,46 @@ def test_config_rejects_a_value_that_is_not_its_record(change, message):
     with pytest.raises(ConfigError, match=message):
         change(config)
         run(config)
+
+
+# The rules that span records are checked when a config is built, before
+# any run; a config derived with dataclasses.replace is built again.
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        (lambda c: SimConfig(c.uav, [], c.nodes), r"^config needs at least one buoy$"),
+        (lambda c: dataclasses.replace(c, nodes=[*c.nodes, make_node("mi", address=1)]),
+         r"^duplicate address: 1$"),
+        (lambda c: dataclasses.replace(c, horizon_s=float("nan")),
+         r"^horizon must be positive and finite in whole ns: nan$"),
+        (lambda c: dataclasses.replace(c, nodes=[make_node("acoustic", depth_m=0.5)]),
+         r"^node 1 closer than the link model's reference distance to buoy 0$"),
+    ],
+    ids=["no-buoy", "duplicate-address", "nan-horizon", "closer-than-the-law"],
+)
+def test_a_config_is_checked_when_built(change, message):
+    config = _config([make_node("acoustic", address=1, depth_m=100.0)], [WakeRequest(0.0, 1)])
+    with pytest.raises(ConfigError, match=message):
+        change(config)
+
+
+def test_a_config_holds_tuples_and_cannot_be_changed():
+    node, request = make_node("acoustic", address=1, depth_m=100.0), WakeRequest(0.0, 1)
+    config = _config([node], [request])
+    assert (config.nodes, config.wake_requests) == ((node,), (request,))
+    assert isinstance(config.buoys, tuple)
+    assert SimConfig(config.uav, config.buoys, config.nodes).wake_requests == ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.horizon_s = 1.0
+
+
+def test_a_node_beyond_any_arrival_runs():
+    # 1e303 m of water is a wake latency past the float range of whole ns:
+    # its node_wake detail reads inf, and the signal never arrives
+    node = make_node("acoustic", address=1, depth_m=1e303, sensitivity_dbm=-1e308)
+    report = run(_config([node], [WakeRequest(0.0, 1)], horizon_s=10.0))
+    assert report.nodes[1].wakes == 0
+    assert [e.kind for e in report.events] == ["wake_request", "rf_arrival", "wus_emit"]
 
 
 def test_config_rejects_wide_addresses():
@@ -782,8 +825,6 @@ def test_out_of_range_iff_below_sensitivity(data):
 @pytest.mark.parametrize("valid", [True, False], ids=["valid", "config-error"])
 def test_run_leaves_the_collector_as_it_found_it(enabled, valid):
     config = _pinned_config()
-    if not valid:
-        config.horizon_s = float("nan")
     was_enabled = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
@@ -791,7 +832,7 @@ def test_run_leaves_the_collector_as_it_found_it(enabled, valid):
             run(config)
         else:
             with pytest.raises(ConfigError):
-                run(config)
+                run(dataclasses.replace(config, horizon_s=float("nan")))
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
