@@ -22,7 +22,7 @@ from dataclasses import fields
 
 from . import scenario as scenario_io
 from .core import MAX_POINTS, Medium, TECHNOLOGIES
-from .energy import WakePolicy, energy_profile, lifetime_hours
+from .energy import DUTY_CYCLE, NO_WAKEUP, ON_DEMAND, WakePolicy, energy_profile, lifetime_hours
 from .errors import (
     ConfigError,
     DomainError,
@@ -59,12 +59,8 @@ _LINK_FLAGS = {
     "--cal-gain-db": "calibration_gain_db",
 }
 
-# lifetime --policy: the wake policy at a rate (its kind names it in the CSV).
-_POLICIES = {
-    "nowu": lambda rate: WakePolicy.no_wakeup(),
-    "dc": WakePolicy.duty_cycle,
-    "od": WakePolicy.on_demand,
-}
+# lifetime --policy: the kind of wake policy (it names the policy in the CSV).
+_POLICIES = {"nowu": NO_WAKEUP, "dc": DUTY_CYCLE, "od": ON_DEMAND}
 
 
 class _CliError(Exception):
@@ -184,12 +180,11 @@ def _cmd_lifetime(args):
         if args.rate_step <= 0.0 or not args.rate_min <= args.rate_max:
             raise _CliError(2, "need rate-min <= rate-max and positive rate-step")
         rates = _grid(args.rate_min, args.rate_max, args.rate_step)
-    makers = _POLICIES.values() if args.policy == "all" else [_POLICIES[args.policy]]
+    kinds = _POLICIES.values() if args.policy == "all" else [_POLICIES[args.policy]]
     rows = []
-    for make in makers:
+    for kind in kinds:
         for rate in rates:
-            policy = make(rate)
-            rows.append((rate, lifetime_hours(profile, policy), policy.kind))
+            rows.append((rate, lifetime_hours(profile, WakePolicy(kind, rate)), kind))
     if args.out:
         scenario_io.write_lifetime_csv(args.out, rows)
     else:

@@ -137,9 +137,10 @@ class Medium:
 
 
 def propagation_delay(link, distance_m):
-    """One-way signal travel time in seconds over a link."""
-    if distance_m < 0.0:
-        raise DomainError(f"negative distance: {distance_m}")
+    """One-way signal travel time in seconds over a link; an infinite
+    distance is an infinite delay, a NaN one a DomainError."""
+    if not distance_m >= 0.0:
+        raise DomainError(f"distance must be non-negative: {distance_m}")
     return distance_m / link.propagation_speed_m_s
 
 

@@ -61,13 +61,13 @@ def energy_profile(technology, **given):
 @dataclass(frozen=True)
 class WakePolicy:
     kind: str
-    rate_per_hour: float = 0.0  # transmissions per hour; unused for NO_WAKEUP
+    rate_per_hour: float = 0.0  # transmissions per hour, non-negative; unused for NO_WAKEUP
 
     def __post_init__(self):
         check_fields(self)
         if self.kind not in (NO_WAKEUP, DUTY_CYCLE, ON_DEMAND):
             raise PolicyError(f"unknown policy kind: {self.kind}")
-        if self.kind != NO_WAKEUP and self.rate_per_hour < 0.0:
+        if self.rate_per_hour < 0.0:
             raise PolicyError(f"rate must be non-negative: {self.rate_per_hour}")
 
     @classmethod

@@ -28,14 +28,12 @@ Buoy energy is not metered (surface nodes harvest); only node-side charge
 is accounted, exactly: consumed = I_active*t_active/3600 + I_sleep*t_sleep/3600.
 """
 
-import gc
 import itertools
 import math
 import sys
 from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from heapq import heappop, heappush
 from operator import eq, itemgetter
@@ -53,6 +51,7 @@ from .core import (
     by_technology,
     check_fields,
     check_names,
+    field_value,
     is_number,
     propagation_delay,
 )
@@ -116,11 +115,13 @@ def link_fields(technology):
 
 def make_link(technology, medium=Medium(), **given):
     """Link params of a technology from the given fields of its params class.
-    ``medium`` fills a ``Medium``-typed field (links without one ignore it)
-    and ``water_type`` resolves ``extinction_per_m``.  A name ``link_fields``
-    does not list is a DomainError, the first given."""
+    ``medium`` must be a ``Medium``; it fills a ``Medium``-typed field
+    (links without one ignore it), and ``water_type`` resolves
+    ``extinction_per_m``.  A name ``link_fields`` does not list is a
+    DomainError, the first given."""
     cls, names, medium_fields = by_technology(_LINKS, technology)
     check_names(given, names, f"{technology} link")
+    field_value("medium", Medium, medium)
     if "water_type" in given:
         water_type = given.pop("water_type")
         if "extinction_per_m" in given:
@@ -148,12 +149,6 @@ def seconds_text(ns):
     # %-formatting of the int pair costs what a float's .9f does; an
     # f-string of the two parts costs a third more
     return "%d.%09d" % divmod(ns, _NS)
-
-
-def _valid_horizon(horizon_s):
-    """A horizon is a number a float field takes that lasts at least one
-    whole nanosecond, and its nanosecond count must be finite."""
-    return is_number(horizon_s) and horizon_s > 0.0 and 0 < _to_ns(horizon_s) < math.inf
 
 
 def _check_address(address, what):
@@ -249,7 +244,9 @@ class WakeRequest:
 class SimConfig:
     """The records of a run and its horizon.  Each record checks its own
     fields; the config checks the rules that span records when it is
-    built, and stores each list as a tuple."""
+    built, stores each list as a tuple and the horizon as a float.  A
+    horizon is a number a float field takes whose whole nanosecond count
+    is positive and finite."""
 
     uav: Uav
     buoys: tuple
@@ -258,11 +255,14 @@ class SimConfig:
     horizon_s: float = 3600.0
 
     def __post_init__(self):
-        if not _valid_horizon(self.horizon_s):
+        # a value the float rule refuses becomes NaN, whose ns count is inf
+        horizon_s = float(self.horizon_s) if is_number(self.horizon_s) else math.nan
+        horizon_ns = _to_ns(horizon_s)
+        if not 0 < horizon_ns < math.inf:
             raise ConfigError(
                 f"horizon must be positive and finite in whole ns: {self.horizon_s!r}"
             )
-        horizon_s = _to_ns(self.horizon_s) / _NS
+        object.__setattr__(self, "horizon_s", horizon_s)
         if not isinstance(self.uav, Uav):
             raise ConfigError(f"uav must be a Uav: {self.uav!r}")
         for name, record in (("buoys", Buoy), ("nodes", Node), ("wake_requests", WakeRequest)):
@@ -281,7 +281,7 @@ class SimConfig:
                 raise ConfigError(f"duplicate address: {node.address}")
             seen.add(node.address)
             # the largest charge a run computes, in mA*s
-            if not node.energy.active_current_ma * horizon_s <= sys.float_info.max:
+            if not node.energy.active_current_ma * (horizon_ns / _NS) <= sys.float_info.max:
                 raise ConfigError(
                     f"node {node.address}: {node.energy.active_current_ma} mA over the "
                     f"{self.horizon_s} s horizon is a charge beyond the float range"
@@ -533,33 +533,17 @@ def _link_table(buoy, hop_ns, runtimes, technology, events, failures):
     return table
 
 
-@contextmanager
-def _gc_paused():
-    """Pause the cyclic garbage collector, then restore it as it was: the
-    loop allocates only acyclic objects (queue entries, log entries), and
-    rescanning them would cost a sizeable share of the run."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
 def run(config: SimConfig) -> SimReport:
     """Run the event loop to the horizon and assemble the report.
 
     Protocol outcomes (missed wake-ups, mismatches, depleted targets) are
-    report records, never exceptions.  The cyclic garbage collector is
-    paused for the run.
+    report records, never exceptions.
     """
-    with _gc_paused():
-        # Sorted stably by whole ns, not by time_s: two times can round to
-        # one ns, and config order must then decide.  A request is its own
-        # token, so one listed twice is one request.
-        ordered = sorted(config.wake_requests, key=lambda r: _to_ns(r.time_s))
-        return _run(config, ((_to_ns(r.time_s), r.target_address, r) for r in ordered))
+    # Sorted stably by whole ns, not by time_s: two times can round to
+    # one ns, and config order must then decide.  A request is its own
+    # token, so one listed twice is one request.
+    ordered = sorted(config.wake_requests, key=lambda r: _to_ns(r.time_s))
+    return _run(config, ((_to_ns(r.time_s), r.target_address, r) for r in ordered))
 
 
 def _run(config: SimConfig, requests) -> SimReport:
@@ -750,18 +734,19 @@ def simulate_lifetime(node: Node, wake_rate_per_hour, horizon_hours):
     # The closed form's rules: a rate or profile lifetime_hours rejects
     # raises the same PolicyError or DomainError here.
     lifetime_hours(node.energy, WakePolicy.on_demand(wake_rate_per_hour))
-    # An int horizon stays an int, so one beyond the float range is
-    # rejected below instead of raising OverflowError here, as is a bool.
-    horizon_s = horizon_hours * 3600 if is_number(horizon_hours) else None
-    if not _valid_horizon(horizon_s):
-        raise ConfigError(
-            f"horizon must be positive and finite in whole ns: {horizon_hours!r} h"
-        )
+    # The config holds the horizon to its rule; a value the rule refuses is
+    # passed on unscaled (a bool times 3600 would be a number).
+    config = SimConfig(
+        uav=Uav(Position3D(node.position.x, node.position.y, -10.0), rf_range_m=100.0),
+        buoys=[Buoy(Position3D(node.position.x, node.position.y, 0.0))],
+        nodes=[node],
+        horizon_s=horizon_hours * 3600 if is_number(horizon_hours) else horizon_hours,
+    )
     requests = ()
     if wake_rate_per_hour > 0.0:
         # Whole-ns instants k * interval, so no two requests come closer than
         # the rate says; an interval past the horizon asks once, at t = 0.
-        horizon_ns = _to_ns(horizon_s)
+        horizon_ns = _to_ns(config.horizon_s)
         interval_ns = min(max(_to_ns(3600.0 / wake_rate_per_hour), 1), horizon_ns)
         count = -(-horizon_ns // interval_ns)
         if count > MAX_POINTS:
@@ -771,14 +756,7 @@ def simulate_lifetime(node: Node, wake_rate_per_hour, horizon_hours):
             )
         # k is the token of the k-th request
         requests = ((k * interval_ns, node.address, k) for k in range(count))
-    config = SimConfig(
-        uav=Uav(Position3D(node.position.x, node.position.y, -10.0), rf_range_m=100.0),
-        buoys=[Buoy(Position3D(node.position.x, node.position.y, 0.0))],
-        nodes=[node],
-        horizon_s=horizon_s,
-    )
-    with _gc_paused():
-        report = _run(config, requests)
+    report = _run(config, requests)
     nrep = report.nodes[node.address]
     if nrep.depleted:
         return nrep.depleted_at_s / 3600.0

@@ -163,6 +163,30 @@ MUTANTS = [
         "new": "",
         "test": ORACLE + "test_a_config_that_runs_round_trips",
     },
+    {
+        "name": "no-wakeup-skips-the-rate-rule",
+        "why": "every policy kind holds its rate to one rule, though no_wakeup does not use it",
+        "file": "src/iout_wakeup/energy.py",
+        "old": "        if self.rate_per_hour < 0.0:",
+        "new": "        if self.kind != NO_WAKEUP and self.rate_per_hour < 0.0:",
+        "test": "tests/test_energy.py::test_policy_validation",
+    },
+    {
+        "name": "horizon-kept-as-given",
+        "why": "a config holds its horizon as a float, as a record holds a float field",
+        "file": "src/iout_wakeup/sim.py",
+        "old": '        object.__setattr__(self, "horizon_s", horizon_s)\n',
+        "new": "",
+        "test": "tests/test_sim.py::test_a_config_holds_its_horizon_as_a_float",
+    },
+    {
+        "name": "delay-takes-nan",
+        "why": "a NaN distance is refused, not a NaN delay",
+        "file": "src/iout_wakeup/core.py",
+        "old": "    if not distance_m >= 0.0:",
+        "new": "    if distance_m < 0.0:",
+        "test": "tests/test_core.py::test_propagation_delay_rejects_negative",
+    },
 ]
 
 

@@ -321,6 +321,19 @@ def test_lifetime_overfull_rate_exits_2(capsys):
     assert ERROR_LINE.match(capsys.readouterr().err.strip())
 
 
+# every policy holds its rate to one rule, though no_wakeup does not use it
+@pytest.mark.parametrize(
+    "rates,rate",
+    [(["--rate-per-hour", "-1"], "-1.0"), (["--rate-min", "-5", "--rate-max", "1"], "-5.0")],
+    ids=["rate", "rate-grid"],
+)
+def test_lifetime_no_wakeup_negative_rate_exits_2(rates, rate, capsys):
+    rc = main(["lifetime", "--tech", "optical", "--policy", "nowu", *rates])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: 2: rate must be non-negative: {rate}\n"
+
+
 def test_simulate_preset(tmp_path, capsys):
     prefix = tmp_path / "fig3"
     rc = main(["simulate", "--scenario", "acoustic-fig3", "--out", str(prefix)])

@@ -1,5 +1,6 @@
 """Units, geometry, per-technology link constants, and the generic range solver."""
 
+import math
 import random
 
 import pytest
@@ -60,6 +61,8 @@ def test_propagation_delay_values():
     assert propagation_delay(LINK_TYPES[ACOUSTIC](), 150.0) == pytest.approx(0.1, rel=1e-12)
     assert propagation_delay(LINK_TYPES[ACOUSTIC](), 0.0) == 0.0
     assert propagation_delay(LINK_TYPES[OPTICAL](), 90.0) == pytest.approx(3e-7, rel=1e-12)
+    # a distance past the float range: the signal never arrives
+    assert propagation_delay(LINK_TYPES[MI](), math.inf) == math.inf
     # sound travels at its medium's speed
     slow = LINK_TYPES[ACOUSTIC](medium=Medium(sound_speed_m_s=1480.0))
     assert propagation_delay(slow, 148.0) == 148.0 / 1480.0
@@ -76,8 +79,9 @@ def test_propagation_delay_linear_in_distance():
 
 
 def test_propagation_delay_rejects_negative():
-    with pytest.raises(DomainError):
-        propagation_delay(LINK_TYPES[ACOUSTIC](), -1.0)
+    for distance in (-1.0, math.nan):
+        with pytest.raises(DomainError, match=f"^distance must be non-negative: {distance}$"):
+            propagation_delay(LINK_TYPES[ACOUSTIC](), distance)
 
 
 def _ramp(d):

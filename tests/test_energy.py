@@ -134,8 +134,9 @@ def test_profile_validation():
 def test_policy_validation():
     with pytest.raises(PolicyError):
         WakePolicy("sometimes")
-    with pytest.raises(PolicyError):
-        WakePolicy.duty_cycle(-1.0)
+    for kind in ("no_wakeup", "duty_cycle", "on_demand"):
+        with pytest.raises(PolicyError, match="^rate must be non-negative: -1.0$"):
+            WakePolicy(kind, -1.0)
     for rate in (nan, inf):
         with pytest.raises(DomainError, match="must be finite"):
             WakePolicy.on_demand(rate)

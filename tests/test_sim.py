@@ -397,6 +397,9 @@ def test_config_rejects_node_above_surface():
         (lambda c: make_node("acoustic", sensitivity_dbm=True), ConfigError),
         (lambda c: make_link("mi", turns_tx=True), ConfigError),
         (lambda c: make_link("mi", turns_tx=2.5), ConfigError),
+        # a link without a medium holds the argument to the acoustic link's rule
+        (lambda c: make_link("optical", medium=5), DomainError),
+        (lambda c: make_link("mi", medium=5), DomainError),
         (lambda c: Buoy(Position3D(0.0, 0.0, 0.0), rf_wakeup_enabled="no"), ConfigError),
         (lambda c: Buoy(Position3D(0.0, 0.0, 0.0), rf_wakeup_enabled=1), ConfigError),
         # a value that is not a number, a position or a profile is a typed
@@ -419,7 +422,8 @@ def test_config_rejects_node_above_surface():
          "int-request-time-beyond-float", "int-sensitivity-beyond-float",
          "float-address", "integral-float-address", "bool-address", "nan-address",
          "float-request-address", "bool-request-address", "bool-request-time",
-         "bool-sensitivity", "bool-turns", "float-turns", "string-rf-enabled", "int-rf-enabled",
+         "bool-sensitivity", "bool-turns", "float-turns", "int-optical-medium", "int-mi-medium",
+         "string-rf-enabled", "int-rf-enabled",
          "string-horizon", "none-horizon", "string-request-time", "none-request-time",
          "string-address", "list-sensitivity", "none-coordinate", "tuple-node-position",
          "tuple-uav-position", "dict-energy", "string-energy"],
@@ -487,6 +491,12 @@ def test_a_config_holds_tuples_and_cannot_be_changed():
     assert SimConfig(config.uav, config.buoys, config.nodes).wake_requests == ()
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.horizon_s = 1.0
+
+
+def test_a_config_holds_its_horizon_as_a_float():
+    # as a record's float field holds an int, and as a parsed scenario does
+    config = _config([make_node("acoustic", address=1, depth_m=100.0)], [], horizon_s=100)
+    assert repr(config.horizon_s) == repr(run(config).horizon_s) == "100.0"
 
 
 def test_a_node_beyond_any_arrival_runs():
@@ -593,15 +603,20 @@ def test_simulate_lifetime_rejects_overfull_hour():
         simulate_lifetime(make_node("acoustic"), 3601.0, 1.0)
 
 
+# The config's own error, naming the horizon in seconds, or as given if the
+# float rule refuses it.
 @pytest.mark.parametrize(
-    "hours",
-    [float("nan"), float("inf"), -float("inf"), 0.0, -1.0, 1e-13, 1e300, 10**400,
-     "1", None, [], True],
-    ids=["nan", "inf", "-inf", "zero", "negative", "under-1-ns", "ns-beyond-float",
-         "int-beyond-float", "string", "none", "list", "bool"],
+    "hours,seconds",
+    [(float("nan"), "nan"), (float("inf"), "inf"), (-float("inf"), "-inf"), (0.0, "0.0"),
+     (-1.0, "-3600.0"), (-1, "-3600"), (1e-13, "3.6e-10"), (1e300, "3.6e\\+303"),
+     (10**400, "1" + "0" * 400), ("1", "'1'"), (None, "None"), ([], "\\[\\]"),
+     (True, "True")],
+    ids=["nan", "inf", "-inf", "zero", "negative", "negative-int", "under-1-ns",
+         "ns-beyond-float", "int-beyond-float", "string", "none", "list", "bool"],
 )
-def test_simulate_lifetime_rejects_bad_horizons(hours):
-    with pytest.raises(ConfigError, match="horizon"):
+def test_simulate_lifetime_rejects_bad_horizons(hours, seconds):
+    message = f"^horizon must be positive and finite in whole ns: {seconds}$"
+    with pytest.raises(ConfigError, match=message):
         simulate_lifetime(make_node("acoustic"), 10.0, hours)
 
 
