@@ -9,7 +9,6 @@ the -10 dBm sensitivity crossing near 250 m at 8 kHz and near 180 m at
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import isfinite, log10
 
 from .core import LinkLaw, Medium, check_fields
@@ -61,9 +60,10 @@ class AcousticLinkParams(LinkLaw):
 
     def __post_init__(self):
         check_fields(self)
-        # A frequency that is not positive, or whose absorption overflows,
-        # raises here.
-        self.alpha_db_per_km
+        # Derived once, as plain attributes.  A frequency that is not
+        # positive, or whose absorption overflows, raises here.
+        object.__setattr__(self, "alpha_db_per_km", thorp_absorption(self.frequency_khz))
+        object.__setattr__(self, "offset_db", intensity_offset_db(self.medium))
         if self.spreading_exponent not in _SPREADING_EXPONENTS:
             raise DomainError(
                 f"spreading exponent must be one of {_SPREADING_EXPONENTS}: "
@@ -74,14 +74,6 @@ class AcousticLinkParams(LinkLaw):
     def propagation_speed_m_s(self):
         """Sound travels at the speed of the medium it runs in."""
         return self.medium.sound_speed_m_s
-
-    @cached_property
-    def alpha_db_per_km(self):
-        return thorp_absorption(self.frequency_khz)
-
-    @cached_property
-    def offset_db(self):
-        return intensity_offset_db(self.medium)
 
     def transmission_loss_db(self, d):
         """Spreading plus absorption loss, dB, at a range d >= 1 m."""

@@ -13,7 +13,6 @@ losses at 75 kHz over <100 m are absorbed there too.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from math import log10
 
 from .core import LIGHT_SPEED_M_S, NEG_INF_DBM, LinkLaw, check_fields, cos_misalignment
@@ -51,12 +50,18 @@ class MiLinkParams(LinkLaw):
             "transmit_power_mw", "frequency_khz", "permeability_h_per_m", "turns_tx",
             "turns_rx", "coil_radius_tx_m", "coil_radius_rx_m", "unit_coil_resistance_ohm_per_m",
         ))
-        # A misalignment outside [0, 90] raises here.
-        if not self.geometry_db < math.inf:
+        # Derived once, as plain attributes.  A misalignment outside
+        # [0, 90] raises here.
+        geometry_db = self._geometry_db()
+        if not geometry_db < math.inf:
             raise DomainError(
                 "coil factor turns_tx*turns_rx*coil_radius_tx_m^3*coil_radius_rx_m^3 "
                 "is beyond the float range"
             )
+        object.__setattr__(self, "geometry_db", geometry_db)
+        # transmit power, calibration and geometry folded into one dB term
+        const_db = 10.0 * log10(self.transmit_power_mw) + self.calibration_gain_db + geometry_db
+        object.__setattr__(self, "const_db", const_db)
 
     @property
     def min_distance_m(self):
@@ -71,8 +76,7 @@ class MiLinkParams(LinkLaw):
     def sweep_range_m(self):
         return (self.min_distance_m, 100.0)
 
-    @cached_property
-    def geometry_db(self):
+    def _geometry_db(self):
         """10*log10 of the coil/misalignment factor (-inf for orthogonal coils,
         +inf when the factor is beyond the float range)."""
         cos_beta = cos_misalignment(self.misalignment_beta_deg)
@@ -90,11 +94,6 @@ class MiLinkParams(LinkLaw):
         if factor <= 0.0:
             return NEG_INF_DBM
         return 10.0 * log10(factor)
-
-    @cached_property
-    def const_db(self):
-        """Transmit power, calibration and geometry folded into one dB term."""
-        return 10.0 * log10(self.transmit_power_mw) + self.calibration_gain_db + self.geometry_db
 
     def rx_dbm(self, d):
         """Near-field coupled-coil received power, dBm: a pure 1/d^6 law."""

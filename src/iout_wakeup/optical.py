@@ -15,7 +15,6 @@ just under 71 m for every standard water type.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from math import log10
 
 from .core import LIGHT_SPEED_M_S, NEG_INF_DBM, LinkLaw, check_fields, cos_misalignment
@@ -76,19 +75,13 @@ class OpticalLinkParams(LinkLaw):
             )
         if self.extinction_per_m < 0.0:
             raise DomainError(f"extinction must be non-negative: {self.extinction_per_m} /m")
-        # A misalignment outside [0, 90] raises here.
-        self.capture_db_1m
+        # Derived once, as plain attributes.  A misalignment outside
+        # [0, 90] raises here.
+        object.__setattr__(self, "ptx_dbm", 10.0 * log10(self.transmit_power_mw))
+        object.__setattr__(self, "extinction_db_per_m", DB_PER_NEPER * self.extinction_per_m)
+        object.__setattr__(self, "capture_db_1m", self._capture_db_1m())
 
-    @cached_property
-    def ptx_dbm(self):
-        return 10.0 * log10(self.transmit_power_mw)
-
-    @cached_property
-    def extinction_db_per_m(self):
-        return DB_PER_NEPER * self.extinction_per_m
-
-    @cached_property
-    def capture_db_1m(self):
+    def _capture_db_1m(self):
         """Aperture / beam-footprint ratio at 1 m, in dB (-inf at beta = 90)."""
         footprint_1m = math.pi * math.tan(math.radians(self.divergence_half_angle_deg)) ** 2
         capture = self.aperture_area_m2 * cos_misalignment(self.misalignment_beta_deg)

@@ -7,8 +7,10 @@ defaults, so a minimal file needs only one buoy, one node and a request.
 Units are the field-name suffixes (m, s, mah, ma, dbm, khz, mw).
 
 CSV output is deterministic: mandatory headers, rows in sweep order, and
-numbers rendered as plain decimals with six significant digits, so
-repeated runs produce byte-identical files.
+numbers rendered as plain decimals with six significant digits (``fmt6``),
+so repeated runs produce byte-identical files.  Rows of numbers are
+rendered a block of lines at a time, in one ``%`` operation per block
+wherever that gives ``fmt6``'s text.
 """
 
 import json
@@ -30,7 +32,10 @@ PRESET_NAMES = ("acoustic-fig3", "optical-fig4", "mi-fig5")
 
 def fmt6(x):
     """Plain-decimal rendering with six significant digits: ``f"{x:.6g}"``
-    with its exponent, if it has one, written out as zeros."""
+    with its exponent, if it has one, written out as zeros.  The one
+    definition of the CSV number format: on a float it differs from
+    ``%.6g`` only where that has an exponent or reads ``-0``, and
+    ``_csv_blocks`` hands every such block to it."""
     if isinstance(x, int):
         return str(x)
     text = f"{x:.6g}"
@@ -233,31 +238,62 @@ def load_preset(name) -> SimConfig:
 # ---------------------------------------------------------------------------
 # CSV emission
 
-# Lines joined per write: one call per block, not per line, and memory for
-# one block of rows, not the whole file.
+# Lines rendered and written per block: one call per block, not per line
+# or per number, and memory for one block of rows, not the whole file.
 _BLOCK_LINES = 1024
 
 
-def _write_csv(path, lines):
-    """Write the rendered lines of a CSV (any iterable, header first, each
-    line ending in a newline)."""
-    lines = iter(lines)
+def _csv_blocks(header, template, rows):
+    """A CSV's header line, then the text of ``rows`` through a line
+    ``template``, ``_BLOCK_LINES`` lines at a time.  The template's
+    comma-separated fields are ``%.6g`` for a number and ``%s`` for anything
+    else, such as a name or an int count.  A block whose numbers are all
+    floats is one ``%`` operation, kept unless its text has an exponent or a
+    ``-0`` field; ``fmt6`` renders the numbers of any other block."""
+    yield header
+    columns = template.rstrip("\n").split(",")
+    width = len(columns)
+    numbers = [i for i, f in enumerate(columns) if f == "%.6g"]
+    plain = template.replace("%.6g", "%s")
+    rows = iter(rows)
+    while block := list(islice(rows, _BLOCK_LINES)):
+        if {*map(len, block)} != {width}:  # a short row would shift every later field
+            row = next(r for r in block if len(r) != width)
+            raise DomainError(f"a row of this CSV holds {width} values: {row!r}")
+        values = tuple(chain.from_iterable(block))
+        if all({*map(type, values[i::width])} == {float} for i in numbers):
+            text = template * len(block) % values
+            if not ("e+" in text or "e-" in text or "-0," in text or "-0\n" in text):
+                yield text
+                continue
+        values = list(values)
+        for i in numbers:
+            values[i::width] = map(fmt6, values[i::width])
+        yield plain * len(block) % tuple(values)
+
+
+def _write_csv(path, blocks):
+    """Write the rendered blocks of a CSV, header first."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        while block := "".join(islice(lines, _BLOCK_LINES)):
-            fh.write(block)
+        fh.writelines(blocks)
 
 
 def write_range_sweep_csv(path, distances_m, powers_dbm):
-    """Rows of distance_m, rx_power_dbm ordered by distance."""
-    lines = (f"{fmt6(d)},{fmt6(p)}\n" for d, p in zip(distances_m, powers_dbm))
-    _write_csv(path, chain(["distance_m,rx_power_dbm\n"], lines))
+    """Rows of distance_m, rx_power_dbm ordered by distance, from two
+    sequences of equal length."""
+    if len(distances_m) != len(powers_dbm):
+        raise DomainError(
+            f"sweep columns differ in length: {len(distances_m)} distances, "
+            f"{len(powers_dbm)} powers"
+        )
+    rows = zip(distances_m, powers_dbm)
+    _write_csv(path, _csv_blocks("distance_m,rx_power_dbm\n", "%.6g,%.6g\n", rows))
 
 
 def lifetime_csv(rows):
-    """Lines of the lifetime CSV from (tx_per_hour, lifetime_h, policy)
-    tuples, header first; ``lifetime`` without --out prints them."""
-    lines = (f"{fmt6(rate)},{fmt6(hours)},{policy}\n" for rate, hours, policy in rows)
-    return chain(["tx_per_hour,lifetime_h,policy\n"], lines)
+    """The lifetime CSV from (tx_per_hour, lifetime_h, policy) tuples: its
+    header, then blocks of lines; ``lifetime`` without --out prints them."""
+    return _csv_blocks("tx_per_hour,lifetime_h,policy\n", "%.6g,%.6g,%s\n", rows)
 
 
 def write_lifetime_csv(path, rows):
@@ -267,13 +303,14 @@ def write_lifetime_csv(path, rows):
 
 def write_events_csv(path, report):
     lines = report.events.lines(seconds_text, ",{},{},{}\n".format)
-    _write_csv(path, chain(["time_s,actor,kind,detail\n"], lines))
+    blocks = iter(lambda: "".join(islice(lines, _BLOCK_LINES)), "")
+    _write_csv(path, chain(["time_s,actor,kind,detail\n"], blocks))
 
 
 def write_summary_csv(path, report):
-    lines = (
-        f"{nr.address},{nr.wakes},{fmt6(nr.charge_consumed_mah)},"
-        f"{fmt6(nr.mean_latency_s)},{nr.failures}\n"
+    rows = (
+        (nr.address, nr.wakes, nr.charge_consumed_mah, nr.mean_latency_s, nr.failures)
         for nr in report.nodes.values()
     )
-    _write_csv(path, chain(["address,wakes,charge_consumed_mah,mean_latency_s,failures\n"], lines))
+    header = "address,wakes,charge_consumed_mah,mean_latency_s,failures\n"
+    _write_csv(path, _csv_blocks(header, "%s,%s,%.6g,%.6g,%s\n", rows))

@@ -734,13 +734,15 @@ def simulate_lifetime(node: Node, wake_rate_per_hour, horizon_hours):
     # The closed form's rules: a rate or profile lifetime_hours rejects
     # raises the same PolicyError or DomainError here.
     lifetime_hours(node.energy, WakePolicy.on_demand(wake_rate_per_hour))
-    # The config holds the horizon to its rule; a value the rule refuses is
-    # passed on unscaled (a bool times 3600 would be a number).
+    # The config holds the horizon to its rule, so each number is scaled to
+    # the seconds its errors name; anything else, a bool too (True * 3600
+    # would be a number), is passed on as given.
+    number = isinstance(horizon_hours, (int, float)) and type(horizon_hours) is not bool
     config = SimConfig(
         uav=Uav(Position3D(node.position.x, node.position.y, -10.0), rf_range_m=100.0),
         buoys=[Buoy(Position3D(node.position.x, node.position.y, 0.0))],
         nodes=[node],
-        horizon_s=horizon_hours * 3600 if is_number(horizon_hours) else horizon_hours,
+        horizon_s=horizon_hours * 3600 if number else horizon_hours,
     )
     requests = ()
     if wake_rate_per_hour > 0.0:

@@ -187,6 +187,30 @@ MUTANTS = [
         "new": "    if distance_m < 0.0:",
         "test": "tests/test_core.py::test_propagation_delay_rejects_negative",
     },
+    {
+        "name": "csv-block-misses-an-exponent",
+        "why": "a CSV block that %.6g writes with an exponent is fmt6's to render",
+        "file": "src/iout_wakeup/scenario.py",
+        "old": '"e+" in text or "e-" in text or ',
+        "new": "",
+        "test": "tests/test_scenario.py::test_csv_writers_render_each_number_through_fmt6",
+    },
+    {
+        "name": "csv-block-misses-minus-zero",
+        "why": "a CSV block that %.6g writes with a -0 field is fmt6's to render",
+        "file": "src/iout_wakeup/scenario.py",
+        "old": ' or "-0," in text or "-0\\n" in text',
+        "new": "",
+        "test": "tests/test_scenario.py::test_csv_writers_render_each_number_through_fmt6",
+    },
+    {
+        "name": "horizon-scaled-in-float-range-only",
+        "why": "simulate_lifetime names every horizon number in seconds, past the float range too",
+        "file": "src/iout_wakeup/sim.py",
+        "old": "number = isinstance(horizon_hours, (int, float)) and type(horizon_hours) is not bool",
+        "new": "number = is_number(horizon_hours)",
+        "test": "tests/test_sim.py::test_simulate_lifetime_rejects_bad_horizons[int-beyond-float]",
+    },
 ]
 
 

@@ -3,9 +3,11 @@
 import json
 import math
 import os
+import random
 import sys
 import tempfile
 from decimal import Decimal
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,16 +15,21 @@ from hypothesis import strategies as st
 
 from iout_wakeup.core import TECHNOLOGIES, Position3D
 from iout_wakeup.energy import DEFAULT_ENERGY
-from iout_wakeup.errors import ParseError, ValidationError
+from iout_wakeup.errors import DomainError, ParseError, ValidationError
 from iout_wakeup.scenario import (
+    _BLOCK_LINES,
     PRESET_NAMES,
     fmt6,
+    lifetime_csv,
     load_preset,
     parse_scenario,
     parse_scenario_text,
     preset_text,
     scenario_to_json,
     write_events_csv,
+    write_lifetime_csv,
+    write_range_sweep_csv,
+    write_summary_csv,
 )
 from iout_wakeup.sim import Buoy, SimConfig, Uav, WakeRequest, make_node, run
 
@@ -180,6 +187,92 @@ def test_fmt6_edge_values_match_decimal(x):
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_fmt6_matches_decimal_on_every_finite_float(x):
     assert fmt6(x) == _fmt6_decimal(x)
+
+
+# Where the CSV number format is at its edges: numbers that ``%.6g`` writes
+# with an exponent or as ``-0``, the ends of the float range, and numbers
+# that are not floats.
+_CSV_EDGES = (-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-310,
+              sys.float_info.max, 999999.5, 999999.4, 9.99995e-05, 1e-05, 0.0001, 1.5e8,
+              -1.5e8, 7, -3, 10**400, True, False)
+_POLICIES = ("no_wakeup", "duty_cycle", "on_demand")
+
+
+@st.composite
+def _csv_columns(draw):
+    """Two columns of numbers, up to three blocks of lines long: plain
+    floats from a seeded generator, with edge values put in at drawn rows."""
+    n = draw(st.integers(0, 3 * _BLOCK_LINES))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    columns = [[rng.uniform(-1e5, 1e5) for _ in range(n)] for _ in range(2)]
+    edge = st.one_of(st.sampled_from(_CSV_EDGES), st.floats(), st.integers())
+    for _ in range(draw(st.integers(0, 6)) if n else 0):
+        columns[draw(st.integers(0, 1))][draw(st.integers(0, n - 1))] = draw(edge)
+    return columns
+
+
+def _later_block(value):
+    """Two columns of plain floats with ``value`` in the second block of lines."""
+    columns = [[float(i) for i in range(2 * _BLOCK_LINES)] for _ in range(2)]
+    columns[1][_BLOCK_LINES + 7] = value
+    return columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(_csv_columns())
+@example(_later_block(-0.0))
+@example(_later_block(1.5e8))
+@example(_later_block(1e-05))
+@example(_later_block(10**400))
+@example(_later_block(True))
+def test_csv_writers_render_each_number_through_fmt6(columns):
+    a, b = columns
+    rows = [(x, y, _POLICIES[i % 3]) for i, (x, y) in enumerate(zip(a, b))]
+    nodes = {i: SimpleNamespace(address=i, wakes=i % 7, charge_consumed_mah=x,
+                                mean_latency_s=y, failures=i % 5)
+             for i, (x, y) in enumerate(zip(a, b))}
+    expected = {
+        "sweep": "distance_m,rx_power_dbm\n"
+                 + "".join(f"{fmt6(x)},{fmt6(y)}\n" for x, y in zip(a, b)),
+        "lifetime": "tx_per_hour,lifetime_h,policy\n"
+                    + "".join(f"{fmt6(x)},{fmt6(y)},{p}\n" for x, y, p in rows),
+        "summary": "address,wakes,charge_consumed_mah,mean_latency_s,failures\n"
+                   + "".join(f"{nr.address},{nr.wakes},{fmt6(nr.charge_consumed_mah)},"
+                             f"{fmt6(nr.mean_latency_s)},{nr.failures}\n"
+                             for nr in nodes.values()),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {kind: os.path.join(tmp, f"{kind}.csv") for kind in expected}
+        write_range_sweep_csv(paths["sweep"], a, b)
+        write_lifetime_csv(paths["lifetime"], rows)
+        write_summary_csv(paths["summary"], SimpleNamespace(nodes=nodes))
+        for kind, text in expected.items():
+            with open(paths[kind], "rb") as fh:
+                assert fh.read() == text.encode(), kind
+    assert "".join(lifetime_csv(rows)) == expected["lifetime"]
+
+
+# A row of the wrong width is refused, even where the next row makes up for it.
+@pytest.mark.parametrize(
+    "rows,row", [([(1.0, 2.0, "on_demand"), (3.0, 4.0)], r"\(3\.0, 4\.0\)"),
+                 ([(1.0, 2.0), (3.0, 4.0, "on_demand", "duty_cycle")], r"\(1\.0, 2\.0\)")],
+    ids=["short", "short-then-long"],
+)
+def test_lifetime_csv_refuses_a_row_of_the_wrong_width(rows, row):
+    with pytest.raises(DomainError, match=f"^a row of this CSV holds 3 values: {row}$"):
+        "".join(lifetime_csv(rows))
+
+
+@pytest.mark.parametrize(
+    "distances,powers", [([1.0, 2.0, 3.0], [5.0]), ([1.0], [5.0, 6.0])],
+    ids=["more-distances", "more-powers"],
+)
+def test_sweep_csv_refuses_unequal_columns(distances, powers, tmp_path):
+    path = tmp_path / "sweep.csv"
+    message = f"^sweep columns differ in length: {len(distances)} distances, {len(powers)} powers$"
+    with pytest.raises(DomainError, match=message):
+        write_range_sweep_csv(path, distances, powers)
+    assert not path.exists()
 
 
 # Valid documents the mutation property starts from: the presets, the
