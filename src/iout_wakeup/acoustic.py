@@ -11,7 +11,7 @@ the -10 dBm sensitivity crossing near 250 m at 8 kHz and near 180 m at
 from dataclasses import dataclass, field
 from math import isfinite, log10
 
-from .core import LinkLaw, Medium, check_fields
+from .core import LinkLaw, Medium, check_fields, is_number, shown
 from .errors import DomainError
 
 # Source level is referenced to 1 m from the projector; closer inputs are
@@ -28,8 +28,8 @@ MAX_RANGE_BRACKET_M = (REFERENCE_DISTANCE_M, 10_000.0)
 
 def thorp_absorption(frequency_khz):
     """Thorp seawater absorption coefficient, dB/km."""
-    if not frequency_khz > 0.0:
-        raise DomainError(f"frequency must be positive: {frequency_khz} kHz")
+    if not (is_number(frequency_khz) and frequency_khz > 0.0):
+        raise DomainError(f"frequency must be positive and finite: {shown(frequency_khz)} kHz")
     f2 = frequency_khz * frequency_khz
     alpha = 0.11 * f2 / (1.0 + f2) + 44.0 * f2 / (4100.0 + f2) + 2.75e-4 * f2 + 0.003
     if not isfinite(alpha):  # 44*f*f overflows to inf, then f*f does (inf/inf)

@@ -39,7 +39,7 @@ _FLOAT_MAX = sys.float_info.max
 def by_technology(table, technology):
     """``table[technology]``; ConfigError unless it is one of TECHNOLOGIES."""
     if technology not in TECHNOLOGIES:
-        raise ConfigError(f"unknown technology: {technology}")
+        raise ConfigError(f"unknown technology: {shown(technology, str)}")
     return table[technology]
 
 
@@ -56,6 +56,16 @@ def is_number(value):
     return isinstance(value, (int, float)) and type(value) is not bool and abs(value) <= _FLOAT_MAX
 
 
+def shown(value, text=repr):
+    """``text(value)`` for an error message, or a short description of the
+    value where that raises ValueError, as for an int past the interpreter's
+    digit limit for string conversion: building a message never raises."""
+    try:
+        return text(value)
+    except ValueError:
+        return f"<{type(value).__name__} that cannot be shown>"
+
+
 _KIND_NAMES = {float: "a number", int: "an integer", bool: "a boolean"}
 
 
@@ -69,16 +79,16 @@ def field_value(name, kind, value):
     if kind not in _KIND_NAMES:  # a record class
         if isinstance(value, kind):
             return value
-        raise DomainError(f"{name} must be of type {kind.__name__}: {value!r}")
+        raise DomainError(f"{name} must be of type {kind.__name__}: {shown(value)}")
     if type(value) is bool:
         if kind is bool:
             return value
     elif kind is not bool:
         if not is_number(value):
-            raise DomainError(f"{name} must be finite: {value!r}")
+            raise DomainError(f"{name} must be finite: {shown(value)}")
         if kind is float or type(value) is int:
             return kind(value)
-    raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}: {value!r}")
+    raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}: {shown(value)}")
 
 
 @cache
@@ -138,9 +148,13 @@ class Medium:
 
 def propagation_delay(link, distance_m):
     """One-way signal travel time in seconds over a link; an infinite
-    distance is an infinite delay, a NaN one a DomainError."""
+    distance is an infinite delay, a NaN one, or an int past the float
+    range, a DomainError."""
     if not distance_m >= 0.0:
-        raise DomainError(f"distance must be non-negative: {distance_m}")
+        raise DomainError(f"distance must be non-negative: {shown(distance_m)}")
+    if not (is_number(distance_m) or distance_m == math.inf):
+        raise DomainError(f"distance must be a number in the float range or inf: "
+                          f"{shown(distance_m)}")
     return distance_m / link.propagation_speed_m_s
 
 
@@ -158,10 +172,10 @@ class LinkLaw:
     """
 
     def check_distance(self, distance_m):
-        if not (distance_m >= self.min_distance_m and 0.0 < distance_m < math.inf):
+        if not (is_number(distance_m) and distance_m >= self.min_distance_m and distance_m > 0.0):
             raise DomainError(
                 f"distance must be positive, finite and at least {self.min_distance_m} m: "
-                f"{distance_m} m"
+                f"{shown(distance_m)} m"
             )
 
     def received_power_dbm(self, distance_m):
@@ -176,8 +190,8 @@ class LinkLaw:
         n = field_value("sweep point count", int, n)
         if not 0 <= n <= MAX_POINTS:
             raise DomainError(f"sweep point count must be from 0 to {MAX_POINTS}: {n}")
-        if not 0.0 <= step < math.inf:
-            raise DomainError(f"sweep step must be finite and non-negative: {step} m")
+        if not (is_number(step) and step >= 0.0):
+            raise DomainError(f"sweep step must be finite and non-negative: {shown(step)} m")
         self.check_distance(d0)
         self.check_distance(d0 + max(n - 1, 0) * step)
         rx_dbm = self.rx_dbm
@@ -200,12 +214,14 @@ def solve_max_range(rx_power_dbm, sensitivity_dbm, d_min, d_max, tol_m=0.01):
     either the link is still above the sensitivity at d_max (range
     exceeds the bracket) or already below it at d_min (unreachable).
     """
-    if not math.isfinite(sensitivity_dbm):
-        raise DomainError(f"sensitivity must be finite: {sensitivity_dbm} dBm")
-    if not (math.isfinite(d_min) and math.isfinite(d_max) and d_min < d_max):
-        raise DomainError(f"invalid bracket [{d_min}, {d_max}]")
-    if not 0.0 < tol_m < math.inf:
-        raise DomainError(f"invalid tolerance {tol_m}")
+    if not is_number(sensitivity_dbm):
+        raise DomainError(f"sensitivity must be finite: {shown(sensitivity_dbm)} dBm")
+    # Chained comparisons, not a call per number, as a link budget solves
+    # ~10^4 times; an int past the float range fails them as inf does.
+    if not -_FLOAT_MAX <= d_min < d_max <= _FLOAT_MAX:
+        raise DomainError(f"invalid bracket [{shown(d_min)}, {shown(d_max)}]")
+    if not 0.0 < tol_m <= _FLOAT_MAX:
+        raise DomainError(f"invalid tolerance {shown(tol_m)}")
     if rx_power_dbm(d_min) < sensitivity_dbm:
         raise NoSolution(
             f"received power at d_min={d_min} m is below sensitivity {sensitivity_dbm} dBm"

@@ -11,7 +11,7 @@ hour they cause.
 import math
 from dataclasses import dataclass, fields, replace
 
-from .core import ACOUSTIC, MI, OPTICAL, by_technology, check_fields, check_names
+from .core import ACOUSTIC, MI, OPTICAL, by_technology, check_fields, check_names, shown
 from .errors import DomainError, PolicyError
 
 NO_WAKEUP = "no_wakeup"
@@ -66,7 +66,7 @@ class WakePolicy:
     def __post_init__(self):
         check_fields(self)
         if self.kind not in (NO_WAKEUP, DUTY_CYCLE, ON_DEMAND):
-            raise PolicyError(f"unknown policy kind: {self.kind}")
+            raise PolicyError(f"unknown policy kind: {shown(self.kind, str)}")
         if self.rate_per_hour < 0.0:
             raise PolicyError(f"rate must be non-negative: {self.rate_per_hour}")
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import log10
 
-from .core import LIGHT_SPEED_M_S, NEG_INF_DBM, LinkLaw, check_fields, cos_misalignment
+from .core import LIGHT_SPEED_M_S, NEG_INF_DBM, LinkLaw, check_fields, cos_misalignment, shown
 from .errors import DomainError
 
 DB_PER_NEPER = 10.0 / math.log(10.0)  # exp(-c*d) expressed in dB: -DB_PER_NEPER*c*d
@@ -50,7 +50,7 @@ def extinction_coefficient(water: WaterType):
         return _EXTINCTION_PER_M[WaterType(water)]
     except ValueError:
         valid = ", ".join(w.value for w in WaterType)
-        raise DomainError(f"unknown water type {water!r}: expected one of {valid}") from None
+        raise DomainError(f"unknown water type {shown(water)}: expected one of {valid}") from None
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,9 @@ node found depleted while settling logs the depletion in its place in
 time order.  The engine is seedless; identical configs produce identical
 reports.
 
-The run logs each event and failure as two ints, a time and a code (see
-``RunLog``): the records are built when the report is read.
+The run logs each event as two ints, a time and a code (see ``RunLog``),
+and a failure as the outcome of its event: the records, failures too,
+are built from the events when the report is read.
 
 Buoy energy is not metered (surface nodes harvest); only node-side charge
 is accounted, exactly: consumed = I_active*t_active/3600 + I_sleep*t_sleep/3600.
@@ -35,6 +36,7 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from functools import cached_property
 from heapq import heappop, heappush
 from operator import eq, itemgetter
 
@@ -54,6 +56,7 @@ from .core import (
     field_value,
     is_number,
     propagation_delay,
+    shown,
 )
 from .energy import DEFAULT_ENERGY, EnergyProfile, WakePolicy, lifetime_hours
 from .errors import ConfigError, DomainError
@@ -200,12 +203,12 @@ class Buoy:
             raise ConfigError(f"buoy not at surface: z={self.position.z}")
         if not isinstance(self.transmitters, (tuple, list)):
             raise ConfigError(
-                f"transmitters must be a tuple of technologies: {self.transmitters!r}"
+                f"transmitters must be a tuple of technologies: {shown(self.transmitters)}"
             )
         object.__setattr__(self, "transmitters", tuple(self.transmitters))
         for tech in self.transmitters:
             if tech not in TECHNOLOGIES:
-                raise ConfigError(f"unknown transmitter technology: {tech}")
+                raise ConfigError(f"unknown transmitter technology: {shown(tech, str)}")
         # a repeated technology would emit every broadcast twice
         if len(set(self.transmitters)) < len(self.transmitters):
             raise ConfigError(f"repeated transmitter technology: {self.transmitters}")
@@ -260,18 +263,18 @@ class SimConfig:
         horizon_ns = _to_ns(horizon_s)
         if not 0 < horizon_ns < math.inf:
             raise ConfigError(
-                f"horizon must be positive and finite in whole ns: {self.horizon_s!r}"
+                f"horizon must be positive and finite in whole ns: {shown(self.horizon_s)}"
             )
         object.__setattr__(self, "horizon_s", horizon_s)
         if not isinstance(self.uav, Uav):
-            raise ConfigError(f"uav must be a Uav: {self.uav!r}")
+            raise ConfigError(f"uav must be a Uav: {shown(self.uav)}")
         for name, record in (("buoys", Buoy), ("nodes", Node), ("wake_requests", WakeRequest)):
             items = getattr(self, name)
             if not isinstance(items, (list, tuple)):
-                raise ConfigError(f"{name} must be a list: {items!r}")
+                raise ConfigError(f"{name} must be a list: {shown(items)}")
             for i, item in enumerate(items):
                 if not isinstance(item, record):
-                    raise ConfigError(f"{name}[{i}] must be a {record.__name__}: {item!r}")
+                    raise ConfigError(f"{name}[{i}] must be a {record.__name__}: {shown(item)}")
             object.__setattr__(self, name, tuple(items))
         if not self.buoys:
             raise ConfigError("config needs at least one buoy")
@@ -325,12 +328,13 @@ class RunLog(Sequence):
 
     A code names an entry of the log's table and, if the entry's detail
     takes one at its ``{}``, the target of the request that logged it.
-    An entry holds a record's fields but its time, in field order.  A run
-    makes its entries before the loop (per link-table row and outcome,
-    node, buoy and technology, and for the UAV), so the table grows with
-    the links, not the arrivals.  A record is built on access; a log
-    compares equal to a list of the same records, or to another log, and
-    its repr is that of the list.
+    An entry holds a record's fields but its time, in field order; an
+    event's may go on with the reason and detail of a failure it meets.
+    A run makes its entries before the loop (per link-table row and
+    outcome, node, buoy and technology, and for the UAV), so the table
+    grows with the links, not the arrivals.  A record is built on access;
+    a log compares equal to a list of the same records, or to another
+    log, and its repr is that of the list.
     """
 
     __slots__ = ("record", "entries", "times", "codes")
@@ -375,7 +379,7 @@ class RunLog(Sequence):
             yield stamp + head if tail is None else f"{stamp}{head}{code & MAX_ADDRESS}{tail}"
 
     def _record(self, time_ns, code):
-        first, second, detail = self.entries[code >> _TARGET_BITS]
+        first, second, detail = self.entries[code >> _TARGET_BITS][:3]
         return self.record(time_ns, first, second, detail.format(code & MAX_ADDRESS))
 
     def __len__(self):
@@ -421,24 +425,35 @@ class NodeReport:
 class SimReport:
     horizon_s: float
     events: RunLog  # of SimEvent
-    failures: RunLog  # of FailureRecord
     nodes: dict  # address -> NodeReport
+
+    @cached_property
+    def failures(self):
+        """A RunLog of a FailureRecord per event whose entry names one, in
+        event order, with the event's time and target, built when first
+        read.  Its times are held as the events' are."""
+        failures = RunLog(FailureRecord, _to_ns(self.horizon_s))
+        keys = [failures.entry(entry[3], entry[0], entry[4]) if len(entry) == 5 else None
+                for entry in self.events.entries]
+        for time_ns, code in zip(self.events.times, self.events.codes):
+            failure = keys[code >> _TARGET_BITS]
+            if failure is not None:
+                failures.add(time_ns, failure | code & MAX_ADDRESS)
+        return failures
 
 
 class _NodeRuntime:
     """Mutable per-node bookkeeping while the event loop runs."""
 
-    def __init__(self, node: Node, horizon_ns, events, failures):
+    def __init__(self, node: Node, horizon_ns, events):
         self.node = node
         self.actor = actor = f"node{node.address}"
-        # The node's log codes: (event, failure) for an arrival that finds
-        # it flat or names another target, an arrival ignored while active
-        # or from a request that woke it already, its sleep and depletion.
-        self.depleted = (events.entry(actor, "wus_arrival", "depleted"),
-                         failures.entry(DEPLETED, actor, "target={}"))
-        self.mismatch = (events.entry(actor, "wus_arrival", "address_mismatch target={}"),
-                         failures.entry(ADDRESS_MISMATCH, actor,
-                                        f"target={{}} local={node.address}"))
+        # The node's log codes: an arrival that fails as it finds it flat or
+        # names another target, that is ignored while active or from a
+        # request that woke it already, its sleep and depletion.
+        self.depleted = events.entry(actor, "wus_arrival", "depleted", DEPLETED, "target={}")
+        self.mismatch = events.entry(actor, "wus_arrival", "address_mismatch target={}",
+                                     ADDRESS_MISMATCH, f"target={{}} local={node.address}")
         self.ignored = events.entry(actor, "wus_arrival", "ignored_active")
         self.duplicate = events.entry(actor, "wus_arrival", "duplicate_request")
         self.asleep = events.entry(actor, "node_sleep", "")
@@ -499,16 +514,16 @@ class _NodeRuntime:
         return self.depleted_ns is not None
 
 
-def _link_table(buoy, hop_ns, runtimes, technology, events, failures):
+def _link_table(buoy, hop_ns, runtimes, technology, events):
     """(delay_ns, address, runtime, miss, wake) from a buoy, ``hop_ns``
     after the UAV, to each node of a technology, sorted by (delay_ns,
     address): the order the queue pops one broadcast's arrivals.  Received
     power and sensitivity are fixed per (buoy, node), so whether the node
     hears the buoy is decided here: ``miss`` is None if it does, else the
-    codes of the ``wus_arrival`` event and the failure that every arrival
-    on that link logs.  So is the wake latency, the UAV hop plus the link
-    delay: ``wake`` is (latency_s, the ``node_wake`` code) if the node
-    hears the buoy, else None."""
+    code of the failing ``wus_arrival`` that every arrival on that link
+    logs.  So is the wake latency, the UAV hop plus the link delay:
+    ``wake`` is (latency_s, the ``node_wake`` code) if the node hears the
+    buoy, else None."""
     table = []
     for nrt in runtimes.values():
         node = nrt.node
@@ -519,11 +534,9 @@ def _link_table(buoy, hop_ns, runtimes, technology, events, failures):
             actor = nrt.actor
             miss = wake = None
             if rx_dbm < node.sensitivity_dbm:
-                miss = (
-                    events.entry(actor, "wus_arrival", f"below_sensitivity rx_dbm={rx_dbm:.3f}"),
-                    failures.entry(OUT_OF_RANGE, actor, f"rx {rx_dbm:.3f} dBm below "
-                                   f"sensitivity {node.sensitivity_dbm:.3f} dBm"),
-                )
+                miss = events.entry(actor, "wus_arrival", f"below_sensitivity rx_dbm={rx_dbm:.3f}",
+                                    OUT_OF_RANGE, f"rx {rx_dbm:.3f} dBm below sensitivity "
+                                    f"{node.sensitivity_dbm:.3f} dBm")
             else:
                 latency_ns = hop_ns + delay_ns
                 wake = (latency_ns / _NS, events.entry(actor, "node_wake",
@@ -552,24 +565,18 @@ def _run(config: SimConfig, requests) -> SimReport:
     token (compared with ``is``) wake a node once."""
     horizon_ns = _to_ns(config.horizon_s)
     events = RunLog(SimEvent, horizon_ns)
-    failures = RunLog(FailureRecord, horizon_ns)
-    log_event, log_failure = events.add, failures.add
-    runtimes = {
-        node.address: _NodeRuntime(node, horizon_ns, events, failures) for node in config.nodes
-    }
+    log_event = events.add
+    runtimes = {node.address: _NodeRuntime(node, horizon_ns, events) for node in config.nodes}
     heap = []
     seq = itertools.count()
     requests = iter(requests)
     first = next(requests, None)
     if first is not None:
         heappush(heap, (first[0], _PRIO_REQUEST, 0, next(seq), first))
-    requested = events.entry("uav", "wake_request", "target={}")
-    no_buoy = failures.entry(OUT_OF_RANGE, "uav", "no buoy within rf range")
 
     # The RF hop of every buoy that hears the UAV: its index, delay,
     # ``rf_arrival`` code, and per technology either its ``wus_emit`` code
-    # and link table, in transmitter order, or the code of the failure to
-    # reach a target of that technology.
+    # and link table, in transmitter order, or a failing ``rf_arrival``.
     hops = []
     for bidx, buoy in enumerate(config.buoys):
         dist = config.uav.position.distance_to(buoy.position)
@@ -578,15 +585,19 @@ def _run(config: SimConfig, requests) -> SimReport:
             actor = f"buoy{bidx}"
             tables = {
                 tech: (events.entry(actor, "wus_emit", f"tech={tech} target={{}}"),
-                       _link_table(buoy, hop_ns, runtimes, tech, events, failures))
+                       _link_table(buoy, hop_ns, runtimes, tech, events))
                 for tech in buoy.transmitters
             }
             missing = {
-                tech: failures.entry(OUT_OF_RANGE, actor, f"no {tech} transmitter for target {{}}")
+                tech: events.entry(actor, "rf_arrival", "target={}", OUT_OF_RANGE,
+                                   f"no {tech} transmitter for target {{}}")
                 for tech in TECHNOLOGIES if tech not in tables
             }
             arrived = events.entry(actor, "rf_arrival", "target={}")
             hops.append((bidx, hop_ns, arrived, tables, missing))
+    # a request no buoy hears fails as it is made
+    no_buoy = () if hops else (OUT_OF_RANGE, "no buoy within rf range")
+    requested = events.entry("uav", "wake_request", "target={}", *no_buoy)
 
     while heap and heap[0][0] <= horizon_ns:  # nothing past the horizon (or inf) runs
         entry = heappop(heap)
@@ -601,16 +612,13 @@ def _run(config: SimConfig, requests) -> SimReport:
             _, _, nrt, miss, wake = rows[i]
             while True:
                 if nrt.can_deplete and nrt.settle(t, events):
-                    log_event(t, nrt.depleted[0] | target)
-                    log_failure(t, nrt.depleted[1] | target)
+                    log_event(t, nrt.depleted | target)
                     nrt.failures += 1
                 elif miss is not None:
-                    log_event(t, miss[0])
-                    log_failure(t, miss[1])
+                    log_event(t, miss)
                     nrt.failures += 1
                 elif target != addr:
-                    log_event(t, nrt.mismatch[0] | target)
-                    log_failure(t, nrt.mismatch[1] | target)
+                    log_event(t, nrt.mismatch | target)
                     nrt.failures += 1
                 elif nrt.state == ACTIVE:
                     # Fig-2-style interrupt targets a sleeping controller; an
@@ -650,7 +658,6 @@ def _run(config: SimConfig, requests) -> SimReport:
 
         elif kind == _PRIO_RF:
             t, _, _, _, arrived, tables, missing, req, target = entry
-            log_event(t, arrived | target)
             nrt = runtimes.get(target)
             if nrt is None:
                 # Unknown address: broadcast on everything equipped and let
@@ -659,8 +666,8 @@ def _run(config: SimConfig, requests) -> SimReport:
             elif nrt.node.technology in tables:
                 emits = (tables[nrt.node.technology],)
             else:
-                log_failure(t, missing[nrt.node.technology] | target)
-                emits = ()
+                arrived, emits = missing[nrt.node.technology], ()
+            log_event(t, arrived | target)
             for emitted_code, rows in emits:
                 log_event(t, emitted_code | target)
                 if rows:
@@ -675,8 +682,6 @@ def _run(config: SimConfig, requests) -> SimReport:
             for bidx, delay_ns, arrived, tables, missing in hops:
                 heappush(heap, (t + delay_ns, _PRIO_RF, bidx, next(seq), arrived, tables,
                                 missing, req, target))
-            if not hops:
-                log_failure(t, no_buoy)
             following = next(requests, None)
             if following is not None:
                 heappush(heap, (following[0], _PRIO_REQUEST, 0, next(seq), following))
@@ -702,12 +707,7 @@ def _run(config: SimConfig, requests) -> SimReport:
             depleted_at_s=None if nrt.depleted_ns is None else nrt.depleted_ns / _NS,
             final_state=nrt.state,
         )
-    return SimReport(
-        horizon_s=config.horizon_s,
-        events=events,
-        failures=failures,
-        nodes=node_reports,
-    )
+    return SimReport(horizon_s=config.horizon_s, events=events, nodes=node_reports)
 
 
 def make_node(technology, address=1, depth_m=10.0, **kwargs):

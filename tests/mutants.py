@@ -51,6 +51,30 @@ MUTANTS = [
         "test": ORACLE + "test_simulated_lifetime_matches_the_closed_form",
     },
     {
+        "name": "failure-view-drops-its-target",
+        "why": "a failure read from its event names the event's request target",
+        "file": "src/iout_wakeup/sim.py",
+        "old": "failures.add(time_ns, failure | code & MAX_ADDRESS)",
+        "new": "failures.add(time_ns, failure)",
+        "test": ORACLE + "test_engine_matches_the_reference_engine",
+    },
+    {
+        "name": "missing-transmitter-logs-a-plain-arrival",
+        "why": "a relay without the target's transmitter logs a failing arrival",
+        "file": "src/iout_wakeup/sim.py",
+        "old": "                arrived, emits = missing[nrt.node.technology], ()",
+        "new": "                emits = ()",
+        "test": ORACLE + "test_engine_matches_the_reference_engine",
+    },
+    {
+        "name": "no-buoy-failure-dropped",
+        "why": "a request no buoy hears is a failure",
+        "file": "src/iout_wakeup/sim.py",
+        "old": 'events.entry("uav", "wake_request", "target={}", *no_buoy)',
+        "new": 'events.entry("uav", "wake_request", "target={}")',
+        "test": ORACLE + "test_engine_matches_the_reference_engine",
+    },
+    {
         "name": "rows-sorted-by-delay-only",
         "why": "arrivals at one ns are handled in address order",
         "file": "src/iout_wakeup/sim.py",

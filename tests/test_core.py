@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from iout_wakeup.acoustic import thorp_absorption
 from iout_wakeup.core import (
     ACOUSTIC,
     MI,
@@ -14,8 +15,19 @@ from iout_wakeup.core import (
     propagation_delay,
     solve_max_range,
 )
-from iout_wakeup.errors import DomainError, NoSolution
-from iout_wakeup.sim import LINK_TYPES, Node
+from iout_wakeup.energy import WakePolicy, energy_profile
+from iout_wakeup.errors import ConfigError, DomainError, NoSolution, PolicyError
+from iout_wakeup.optical import extinction_coefficient
+from iout_wakeup.sim import (
+    LINK_TYPES,
+    Buoy,
+    Node,
+    SimConfig,
+    Uav,
+    make_link,
+    make_node,
+    simulate_lifetime,
+)
 
 
 def test_position_distance():
@@ -29,6 +41,49 @@ def test_position_rejects_non_finite():
         Position3D(0.0, float("nan"), 0.0)
     with pytest.raises(DomainError):
         Position3D(float("inf"), 0.0, 0.0)
+
+
+# past the interpreter's 4300-digit limit: repr and str of it raise ValueError
+_HUGE = 10**5000
+_SURFACE = Position3D(0.0, 0.0, 0.0)
+
+
+def _config(**given):
+    fields = dict(uav=Uav(Position3D(0.0, 0.0, -10.0)), buoys=[Buoy(_SURFACE)], nodes=[])
+    return SimConfig(**dict(fields, **given))
+
+
+@pytest.mark.parametrize("build,error", [
+    (lambda: Position3D(_HUGE, 0, 1), DomainError),
+    (lambda: Node(1, _HUGE, ACOUSTIC), DomainError),
+    (lambda: Buoy(_SURFACE, rf_wakeup_enabled=_HUGE), ConfigError),
+    (lambda: make_link(_HUGE), ConfigError),
+    (lambda: energy_profile(_HUGE), ConfigError),
+    (lambda: Node(1, Position3D(0.0, 0.0, 10.0), _HUGE), ConfigError),
+    (lambda: Buoy(_SURFACE, transmitters=(_HUGE,)), ConfigError),
+    (lambda: Buoy(_SURFACE, transmitters=_HUGE), ConfigError),
+    (lambda: WakePolicy(_HUGE), PolicyError),
+    (lambda: extinction_coefficient(_HUGE), DomainError),
+    (lambda: _config(horizon_s=10**4301), ConfigError),
+    (lambda: simulate_lifetime(make_node(ACOUSTIC), 10.0, 10**4300), ConfigError),
+    (lambda: _config(buoys=_HUGE), ConfigError),
+    (lambda: _config(nodes=[_HUGE]), ConfigError),
+    (lambda: _config(uav=_HUGE), ConfigError),
+    (lambda: LINK_TYPES[MI]().received_power_dbm(_HUGE), DomainError),
+    (lambda: LINK_TYPES[OPTICAL]().sweep(1.0, _HUGE, 2), DomainError),
+    (lambda: solve_max_range(_ramp, -5.0, 1.0, _HUGE), DomainError),
+    (lambda: propagation_delay(LINK_TYPES[ACOUSTIC](), _HUGE), DomainError),
+    (lambda: thorp_absorption(_HUGE), DomainError),
+], ids=[
+    "float-field", "record-field", "bool-field", "make-link", "energy-profile",
+    "node-technology", "transmitter", "transmitters", "policy-kind", "water-type",
+    "horizon", "lifetime-horizon", "config-list", "config-record", "config-uav",
+    "distance", "sweep-step", "bracket", "delay", "frequency",
+])
+def test_an_error_message_never_raises(build, error):
+    """A message shows a given value it cannot render as a short note."""
+    with pytest.raises(error, match="<int that cannot be shown>"):
+        build()
 
 
 def test_a_float_field_holds_a_float():
@@ -82,6 +137,9 @@ def test_propagation_delay_rejects_negative():
     for distance in (-1.0, math.nan):
         with pytest.raises(DomainError, match=f"^distance must be non-negative: {distance}$"):
             propagation_delay(LINK_TYPES[ACOUSTIC](), distance)
+    # an int past the float range is no distance in it, though inf is
+    with pytest.raises(DomainError, match="^distance must be a number in the float range"):
+        propagation_delay(LINK_TYPES[ACOUSTIC](), 10**400)
 
 
 def _ramp(d):
@@ -133,7 +191,7 @@ def test_solver_rejects_bad_bracket():
         solve_max_range(_ramp, -10.0, 1.0, 1000.0, tol_m=0.0)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400])
 def test_solver_rejects_non_finite_input(value):
     with pytest.raises(DomainError):
         solve_max_range(_ramp, value, 1.0, 1000.0)

@@ -45,16 +45,19 @@ def test_what_a_law_cannot_evaluate_rejected(cls):
     # a lossless optical link evaluates to NaN at an infinite distance
     params = cls(**{"extinction_per_m": 0.0} if cls is OpticalLinkParams else {})
     d0 = params.min_distance_m + 1.5
-    for bad in (math.inf, -math.inf):
+    # an int past the float range is refused as inf is, not evaluated
+    for bad in (math.inf, -math.inf, 10**400):
         with pytest.raises(DomainError, match="finite"):
             params.received_power_dbm(bad)
         with pytest.raises(DomainError, match="finite"):
             params.sweep(bad, 1.0, 3)
+        with pytest.raises(DomainError, match="finite"):
+            params.max_range(bad)
     # a negative step: its last point below the law, or still inside it
     for step, n in ((-0.25, 10), (-0.25, 4)):
         with pytest.raises(DomainError, match="step"):
             params.sweep(d0, step, n)
-    for step in (math.nan, math.inf):
+    for step in (math.nan, math.inf, 10**400):
         with pytest.raises(DomainError, match="step"):
             params.sweep(d0, step, 3)
     with pytest.raises(DomainError, match="finite"):  # the last point overflows
