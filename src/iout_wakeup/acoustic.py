@@ -9,7 +9,7 @@ the -10 dBm sensitivity crossing near 250 m at 8 kHz and near 180 m at
 """
 
 from dataclasses import dataclass, field
-from math import isfinite, log10
+from math import inf, isfinite, log10
 
 from .core import LinkLaw, Medium, check_fields, is_number, shown
 from .errors import DomainError
@@ -43,7 +43,13 @@ def intensity_offset_db(medium: Medium):
     p = 10^(RL/20) uPa, I = p^2/(rho*c) W/m^2; in dB the conversion
     collapses to RL - 90 - 10*log10(rho*c).
     """
-    return -90.0 - 10.0 * log10(medium.density_kg_m3 * medium.sound_speed_m_s)
+    impedance = medium.density_kg_m3 * medium.sound_speed_m_s
+    if not 0.0 < impedance < inf:  # the product underflowed to 0 or overflowed
+        raise DomainError(
+            "impedance density_kg_m3*sound_speed_m_s is beyond the float range: "
+            f"{medium.density_kg_m3} * {medium.sound_speed_m_s}"
+        )
+    return -90.0 - 10.0 * log10(impedance)
 
 
 @dataclass(frozen=True)

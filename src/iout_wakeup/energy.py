@@ -115,10 +115,17 @@ def active_charge_ratio(dc: WakePolicy, od: WakePolicy):
     """Ratio of active-mode charge per hour, duty-cycling over on-demand.
 
     Burst duration and active current cancel, leaving the activation-rate
-    ratio, so no energy profile enters.
+    ratio, so no energy profile enters.  A ratio past the float range, or
+    one that underflows to 0, is a DomainError, as a lifetime past it is.
     """
     if dc.kind == NO_WAKEUP or od.kind == NO_WAKEUP:
         raise PolicyError("active charge ratio needs rate-based policies")
     if od.rate_per_hour <= 0.0 or dc.rate_per_hour <= 0.0:
         raise PolicyError("active charge ratio needs positive activation rates")
-    return dc.rate_per_hour / od.rate_per_hour
+    ratio = dc.rate_per_hour / od.rate_per_hour
+    if not 0.0 < ratio < math.inf:
+        raise DomainError(
+            f"active charge ratio of {dc.rate_per_hour} to {od.rate_per_hour} wakes/h "
+            "is beyond the float range"
+        )
+    return ratio

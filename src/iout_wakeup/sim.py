@@ -574,27 +574,32 @@ def _run(config: SimConfig, requests) -> SimReport:
     if first is not None:
         heappush(heap, (first[0], _PRIO_REQUEST, 0, next(seq), first))
 
-    # The RF hop of every buoy that hears the UAV: its index, delay,
-    # ``rf_arrival`` code, and per technology either its ``wus_emit`` code
-    # and link table, in transmitter order, or a failing ``rf_arrival``.
+    # The RF hop of every buoy that hears the UAV: its index, delay and a
+    # route per target technology, which a request picks.  A route is the
+    # ``rf_arrival`` code and the (``wus_emit`` code, link table) of each
+    # broadcast: the target's transmitter, or none (with a failing arrival)
+    # if the buoy lacks it.  An address no node has takes the route keyed
+    # None, on every transmitter; the nodes' address filters sort it out.
     hops = []
     for bidx, buoy in enumerate(config.buoys):
         dist = config.uav.position.distance_to(buoy.position)
         if buoy.rf_wakeup_enabled and dist <= config.uav.rf_range_m:
             hop_ns = _to_ns(dist / LIGHT_SPEED_M_S)
             actor = f"buoy{bidx}"
-            tables = {
+            arrived = events.entry(actor, "rf_arrival", "target={}")
+            broadcasts = {
                 tech: (events.entry(actor, "wus_emit", f"tech={tech} target={{}}"),
                        _link_table(buoy, hop_ns, runtimes, tech, events))
                 for tech in buoy.transmitters
             }
-            missing = {
-                tech: events.entry(actor, "rf_arrival", "target={}", OUT_OF_RANGE,
-                                   f"no {tech} transmitter for target {{}}")
-                for tech in TECHNOLOGIES if tech not in tables
+            routes = {
+                tech: (arrived, (broadcasts[tech],)) if tech in broadcasts
+                else (events.entry(actor, "rf_arrival", "target={}", OUT_OF_RANGE,
+                                   f"no {tech} transmitter for target {{}}"), ())
+                for tech in TECHNOLOGIES
             }
-            arrived = events.entry(actor, "rf_arrival", "target={}")
-            hops.append((bidx, hop_ns, arrived, tables, missing))
+            routes[None] = (arrived, tuple(broadcasts.values()))
+            hops.append((bidx, hop_ns, routes))
     # a request no buoy hears fails as it is made
     no_buoy = () if hops else (OUT_OF_RANGE, "no buoy within rf range")
     requested = events.entry("uav", "wake_request", "target={}", *no_buoy)
@@ -657,16 +662,7 @@ def _run(config: SimConfig, requests) -> SimReport:
                 log_event(t, nrt.asleep)
 
         elif kind == _PRIO_RF:
-            t, _, _, _, arrived, tables, missing, req, target = entry
-            nrt = runtimes.get(target)
-            if nrt is None:
-                # Unknown address: broadcast on everything equipped and let
-                # the per-node address filters sort it out.
-                emits = tables.values()
-            elif nrt.node.technology in tables:
-                emits = (tables[nrt.node.technology],)
-            else:
-                arrived, emits = missing[nrt.node.technology], ()
+            t, _, _, _, (arrived, emits), req, target = entry
             log_event(t, arrived | target)
             for emitted_code, rows in emits:
                 log_event(t, emitted_code | target)
@@ -679,9 +675,10 @@ def _run(config: SimConfig, requests) -> SimReport:
         else:  # a request
             t, (_, target, req) = entry[0], entry[4]
             log_event(t, requested | target)
-            for bidx, delay_ns, arrived, tables, missing in hops:
-                heappush(heap, (t + delay_ns, _PRIO_RF, bidx, next(seq), arrived, tables,
-                                missing, req, target))
+            nrt = runtimes.get(target)
+            tech = None if nrt is None else nrt.node.technology
+            for bidx, delay_ns, routes in hops:
+                heappush(heap, (t + delay_ns, _PRIO_RF, bidx, next(seq), routes[tech], req, target))
             following = next(requests, None)
             if following is not None:
                 heappush(heap, (following[0], _PRIO_REQUEST, 0, next(seq), following))

@@ -62,8 +62,25 @@ MUTANTS = [
         "name": "missing-transmitter-logs-a-plain-arrival",
         "why": "a relay without the target's transmitter logs a failing arrival",
         "file": "src/iout_wakeup/sim.py",
-        "old": "                arrived, emits = missing[nrt.node.technology], ()",
-        "new": "                emits = ()",
+        "old": 'else (events.entry(actor, "rf_arrival", "target={}", OUT_OF_RANGE,\n'
+               '                                   f"no {tech} transmitter for target {{}}"), ())',
+        "new": "else (arrived, ())",
+        "test": ORACLE + "test_engine_matches_the_reference_engine",
+    },
+    {
+        "name": "unknown-target-routes-one-broadcast",
+        "why": "a request for an address no node has goes out on every transmitter of a relay",
+        "file": "src/iout_wakeup/sim.py",
+        "old": "routes[None] = (arrived, tuple(broadcasts.values()))",
+        "new": "routes[None] = (arrived, tuple(broadcasts.values())[:1])",
+        "test": ORACLE + "test_engine_matches_the_reference_engine",
+    },
+    {
+        "name": "route-ignores-target-technology",
+        "why": "a relay emits on the target's technology only",
+        "file": "src/iout_wakeup/sim.py",
+        "old": "            tech = None if nrt is None else nrt.node.technology",
+        "new": "            tech = None",
         "test": ORACLE + "test_engine_matches_the_reference_engine",
     },
     {

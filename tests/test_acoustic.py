@@ -54,6 +54,14 @@ def test_absorption_beyond_the_float_range_rejected(f):
         AcousticLinkParams(frequency_khz=f)
 
 
+@pytest.mark.parametrize("value", [1e-200, 1e200, 1.7e308])
+def test_impedance_beyond_the_float_range_rejected(value):
+    # rho*c underflows to 0 (log10 would raise ValueError) or overflows to
+    # inf (an offset of -inf dB)
+    with pytest.raises(DomainError, match="impedance .* beyond the float range"):
+        AcousticLinkParams(medium=Medium(value, value))
+
+
 def test_absorption_near_the_float_range_is_finite():
     f2 = 2e153 * 2e153
     expected = 0.11 * f2 / (1.0 + f2) + 44.0 * f2 / (4100.0 + f2) + 2.75e-4 * f2 + 0.003

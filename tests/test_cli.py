@@ -166,12 +166,17 @@ def test_any_float_flag_value_exits_cleanly(data, value):
     "argv",
     [
         ["sweep-range", "--tech", "acoustic", "--freq-khz", "1e200"],
+        ["sweep-range", "--tech", "acoustic", "--density-kg-m3", "1e-200",
+         "--sound-speed-m-s", "1e-200"],
+        ["sweep-range", "--tech", "acoustic", "--density-kg-m3", "1e200",
+         "--sound-speed-m-s", "1e200"],
         ["sweep-range", "--tech", "mi", "--turns-tx", "1" + "0" * 307],
         ["sweep-range", "--tech", "mi", "--radius-tx-m", "1e300", "--dmax", "2e300", "--step", "1e299"],
         ["lifetime", "--tech", "acoustic", "--capacity-mah", "1e308", "--rate-per-hour", "1"],
         ["lifetime", "--tech", "acoustic", "--active-ma", "1e308", "--rate-per-hour", "3600"],
     ],
-    ids=["acoustic-absorption", "mi-turns", "mi-radius", "lifetime-capacity", "lifetime-draw"],
+    ids=["acoustic-absorption", "impedance-underflow", "impedance-overflow", "mi-turns",
+         "mi-radius", "lifetime-capacity", "lifetime-draw"],
 )
 def test_results_beyond_the_float_range_exit_2(argv, capsys):
     rc = main(argv)
@@ -396,6 +401,10 @@ def test_simulate_empty_requests_pure_sleep_charge(tmp_path):
          "nodes[0].link: absorption beyond the float range"),
         ({"tech": "mi", "link": {"turns_tx": 10**307}}, {},
          "nodes[0].link: coil factor"),
+        ({}, {"medium": {"density_kg_m3": 1e-200, "sound_speed_m_s": 1e-200}},
+         "nodes[0].link: impedance density_kg_m3*sound_speed_m_s is beyond the float range"),
+        ({}, {"medium": {"density_kg_m3": 1e200, "sound_speed_m_s": 1e200}},
+         "nodes[0].link: impedance density_kg_m3*sound_speed_m_s is beyond the float range"),
         ({}, {"buoys": [{"position": [0, 0, 0], "transmitters": ["acoustic", "acoustic"]}]},
          "buoys[0]: repeated transmitter technology"),
         ({}, {"buoys": [{"position": [0, 0, 5]}]}, "buoys[0]: buoy not at surface: z=5.0"),
@@ -414,7 +423,8 @@ def test_simulate_empty_requests_pure_sleep_charge(tmp_path):
     ids=[
         "node-above-surface", "link-domain", "energy-domain", "nan-sensitivity",
         "nan-horizon", "horizon-beyond-ns", "infinite-request-time", "infinite-rf-range",
-        "absorption-overflow", "coil-factor-overflow", "repeated-transmitter",
+        "absorption-overflow", "coil-factor-overflow", "impedance-underflow",
+        "impedance-overflow", "repeated-transmitter",
         "buoy-off-surface", "wide-address", "request-before-zero", "uav-below-surface",
         "unknown-transmitter", "unhashable-transmitter", "duplicate-address",
     ],

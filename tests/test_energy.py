@@ -110,6 +110,12 @@ def test_active_charge_ratio():
     assert active_charge_ratio(WakePolicy.duty_cycle(5.0), WakePolicy.on_demand(1.0)) == 5.0
     assert active_charge_ratio(WakePolicy.duty_cycle(3.0), WakePolicy.on_demand(3.0)) == 1.0
     assert active_charge_ratio(WakePolicy.duty_cycle(10.0), WakePolicy.on_demand(2.0)) == 5.0
+    assert active_charge_ratio(WakePolicy.duty_cycle(1e308), WakePolicy.on_demand(1.0)) == 1e308
+    # a ratio past the float range, or 0 from positive rates, is refused,
+    # as lifetime_hours refuses a lifetime past it
+    for dc, od in ((1.0, 5e-324), (1e308, 0.5), (5e-324, 1e308)):
+        with pytest.raises(DomainError, match="active charge ratio .* beyond the float range"):
+            active_charge_ratio(WakePolicy.duty_cycle(dc), WakePolicy.on_demand(od))
 
 
 def test_active_charge_ratio_needs_positive_rates():
