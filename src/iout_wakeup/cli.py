@@ -18,10 +18,9 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import fields
 
 from . import scenario as scenario_io
-from .core import MAX_POINTS, Medium, TECHNOLOGIES
+from .core import MAX_POINTS, TECHNOLOGIES
 from .energy import DUTY_CYCLE, NO_WAKEUP, ON_DEMAND, WakePolicy, energy_profile, lifetime_hours
 from .errors import (
     ConfigError,
@@ -33,13 +32,11 @@ from .errors import (
 )
 from .optical import WaterType
 from .scenario import fmt6
-from .sim import LINK_TYPES, link_fields, make_link, run
+from .sim import link_fields, make_link, run
 
-_MEDIUM_FIELDS = {f.name: f.type for f in fields(Medium)}
-
-# sweep-range flags that set a field of the --tech link (or of its medium):
-# flag -> field.  They have no defaults of their own; a field no flag sets
-# keeps its dataclass default.
+# sweep-range flags, each setting a name ``sim.link_fields`` lists for the
+# --tech link: flag -> name.  They have no defaults of their own; a name no
+# flag sets keeps its default.
 _LINK_FLAGS = {
     "--sl-db": "source_level_db",
     "--spreading": "spreading_exponent",
@@ -98,7 +95,7 @@ def _build_parser():
         "each sets the named field of the --tech link; others keep their defaults. "
         f"WATER_TYPE is one of {', '.join(w.value for w in WaterType)}",
     )
-    types = {**_MEDIUM_FIELDS, **{k: v for t in TECHNOLOGIES for k, v in link_fields(t).items()}}
+    types = {k: v for t in TECHNOLOGIES for k, v in link_fields(t).items()}
     for flag, name in _LINK_FLAGS.items():
         kind = _finite_float if types[name] is float else types[name]
         link.add_argument(flag, dest=name, type=kind, metavar=name.upper())
@@ -131,17 +128,6 @@ def _given(args, flags):
     return {name: getattr(args, name) for name in flags if getattr(args, name) is not None}
 
 
-def _sweep_params(args):
-    """The --tech link from the given link flags.  The medium flags set the
-    medium of a link that runs in one; ``make_link`` refuses a flag that
-    sets no field of the link, medium flags included for a link without one."""
-    given = _given(args, _LINK_FLAGS.values())
-    medium = Medium()
-    if any(f.type is Medium for f in fields(LINK_TYPES[args.tech])):
-        medium = Medium(**{name: given.pop(name) for name in _MEDIUM_FIELDS if name in given})
-    return make_link(args.tech, medium, **given)
-
-
 def _grid(start, stop, step):
     """start, start+step, ... up to stop (inclusive within 1e-9 steps): at
     most MAX_POINTS points."""
@@ -152,7 +138,8 @@ def _grid(start, stop, step):
 
 
 def _cmd_sweep_range(args):
-    params = _sweep_params(args)
+    # make_link refuses a flag that sets no field of the --tech link
+    params = make_link(args.tech, **_given(args, _LINK_FLAGS.values()))
     default_min, default_max = params.sweep_range_m
     dmin = args.dmin if args.dmin is not None else default_min
     dmax = args.dmax if args.dmax is not None else default_max

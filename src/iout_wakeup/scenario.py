@@ -54,7 +54,8 @@ def fmt6(x):
 # ---------------------------------------------------------------------------
 # records: JSON key -> dataclass field, one table per scenario record.  A
 # key a document leaves out is left out of the constructor call, so the
-# dataclass default applies.  Link records take ``sim.link_fields``.
+# dataclass default applies.  Link records take ``sim.link_fields`` but
+# the medium's: the document's one ``medium`` fills those.
 
 def _keys(cls, **renamed):
     """Every field of a dataclass under its own name or, for a field in
@@ -74,7 +75,8 @@ ENERGY_KEYS = {
     "active_s": "active_duration_s",
 }
 _REQUEST_KEYS = _keys(WakeRequest)
-_LINK_KEYS = {t: {n: n for n in link_fields(t)} for t in TECHNOLOGIES}
+_LINK_KEYS = {t: {n: n for n in link_fields(t) if n not in _MEDIUM_KEYS} for t in TECHNOLOGIES}
+_IN_MEDIUM = {t for t in TECHNOLOGIES if _MEDIUM_KEYS.keys() <= link_fields(t).keys()}
 _SCENARIO_KEYS = ("medium", "uav", "buoys", "nodes", "wake_requests", "horizon_s")
 
 
@@ -120,11 +122,10 @@ def _list(data, key, required):
 # ---------------------------------------------------------------------------
 # parsing
 
-def _node(medium, path, technology, link_params=None, energy=None, **given):
+def _node(links, path, technology, link_params=None, energy=None, **given):
     keys = by_technology(_LINK_KEYS, technology)
-    link = partial(make_link, technology, medium)
     link_params = {} if link_params is None else link_params
-    given["link_params"] = _record(link, keys, link_params, f"{path}.link")
+    given["link_params"] = _record(links[technology], keys, link_params, f"{path}.link")
     if energy is not None:
         profile = partial(energy_profile, technology)
         given["energy"] = _record(profile, ENERGY_KEYS, energy, f"{path}.energy")
@@ -135,6 +136,9 @@ def parse_scenario_data(data) -> SimConfig:
     """Validate a decoded scenario document and build the sim config."""
     _check_keys(data, _SCENARIO_KEYS, ("buoys", "nodes"), "scenario")
     medium = _record(Medium, _MEDIUM_KEYS, data.get("medium", {}), "medium")
+    # each technology's link maker, given the medium by name if it runs in one
+    links = {t: partial(make_link, t, **(vars(medium) if t in _IN_MEDIUM else {}))
+             for t in TECHNOLOGIES}
     buoys = [
         _record(Buoy, _BUOY_KEYS, raw, f"buoys[{i}]", ("position",))
         for i, raw in enumerate(_list(data, "buoys", True))
@@ -145,7 +149,7 @@ def parse_scenario_data(data) -> SimConfig:
         above = buoys[0].position
         uav = Uav(Position3D(above.x, above.y, -10.0))
     nodes = [
-        _record(partial(_node, medium, f"nodes[{i}]"), _NODE_KEYS, raw, f"nodes[{i}]",
+        _record(partial(_node, links, f"nodes[{i}]"), _NODE_KEYS, raw, f"nodes[{i}]",
                 ("address", "position", "tech"))
         for i, raw in enumerate(_list(data, "nodes", True))
     ]

@@ -53,7 +53,6 @@ from .core import (
     by_technology,
     check_fields,
     check_names,
-    field_value,
     is_number,
     propagation_delay,
     shown,
@@ -99,32 +98,33 @@ LINK_TYPES = {
 
 def _link_entry(cls):
     """(the class, name -> type of each value ``make_link`` takes for it,
-    the names of its ``Medium``-typed fields)."""
-    names = {f.name: f.type for f in fields(cls) if f.type is not Medium}
+    the name of its ``Medium``-typed field or None).  The medium's own
+    fields take the place of a ``Medium``-typed one."""
+    names = {g.name: g.type for f in fields(cls)
+             for g in (fields(Medium) if f.type is Medium else (f,))}
     if "extinction_per_m" in names:
         names["water_type"] = optical.WaterType
-    return cls, names, tuple(f.name for f in fields(cls) if f.type is Medium)
+    return cls, names, next((f.name for f in fields(cls) if f.type is Medium), None)
 
 
 _LINKS = {t: _link_entry(cls) for t, cls in LINK_TYPES.items()}
+_MEDIUM_NAMES = tuple(f.name for f in fields(Medium))
 
 
 def link_fields(technology):
     """Name -> type of each value ``make_link`` takes for a technology: the
-    fields of its params class but a ``Medium`` one, and ``water_type``
-    where the class has ``extinction_per_m``."""
+    fields of its params class, the medium's for a ``Medium``-typed one,
+    and ``water_type`` where the class has ``extinction_per_m``."""
     return dict(by_technology(_LINKS, technology)[1])
 
 
-def make_link(technology, medium=Medium(), **given):
-    """Link params of a technology from the given fields of its params class.
-    ``medium`` must be a ``Medium``; it fills a ``Medium``-typed field
-    (links without one ignore it), and ``water_type`` resolves
-    ``extinction_per_m``.  A name ``link_fields`` does not list is a
-    DomainError, the first given."""
-    cls, names, medium_fields = by_technology(_LINKS, technology)
+def make_link(technology, **given):
+    """Link params of a technology from the names ``link_fields`` lists:
+    the medium's fields build its ``Medium``, and ``water_type`` resolves
+    ``extinction_per_m``.  Any other name is a DomainError, the first
+    given."""
+    cls, names, medium = by_technology(_LINKS, technology)
     check_names(given, names, f"{technology} link")
-    field_value("medium", Medium, medium)
     if "water_type" in given:
         water_type = given.pop("water_type")
         if "extinction_per_m" in given:
@@ -132,8 +132,9 @@ def make_link(technology, medium=Medium(), **given):
         if water_type is None:  # refused as every field refuses an explicit None
             raise DomainError("water_type must be a water type: None")
         given["extinction_per_m"] = optical.extinction_coefficient(water_type)
-    for name in medium_fields:
-        given[name] = medium
+    water = {name: given.pop(name) for name in _MEDIUM_NAMES if name in given}
+    if water:  # only a link that runs in a medium takes these names
+        given[medium] = Medium(**water)
     return cls(**given)
 
 
@@ -284,7 +285,7 @@ class SimConfig:
                 raise ConfigError(f"duplicate address: {node.address}")
             seen.add(node.address)
             # the largest charge a run computes, in mA*s
-            if not node.energy.active_current_ma * (horizon_ns / _NS) <= sys.float_info.max:
+            if not node.energy.active_current_ma * (horizon_ns / _NS) <= _FLOAT_MAX:
                 raise ConfigError(
                     f"node {node.address}: {node.energy.active_current_ma} mA over the "
                     f"{self.horizon_s} s horizon is a charge beyond the float range"
@@ -657,7 +658,8 @@ def _run(config: SimConfig, requests) -> SimReport:
 
         elif kind == _PRIO_SLEEP:
             t, nrt = entry[0], entry[4]
-            if not nrt.settle(t, events) and nrt.state == ACTIVE:
+            # the node is active: its wake pushed this timer, the one way back to sleep
+            if not nrt.settle(t, events):
                 nrt.state = SLEEP
                 log_event(t, nrt.asleep)
 

@@ -152,6 +152,23 @@ MUTANTS = [
         "test": "tests/test_cli.py::test_sweep_range_rejected_flags_exit_2",
     },
     {
+        "name": "medium-names-ignored",
+        "why": "the medium's fields given to make_link build the link's medium",
+        "file": "src/iout_wakeup/sim.py",
+        "old": "        given[medium] = Medium(**water)\n",
+        "new": "        pass\n",
+        "test": "tests/test_sim.py::test_acoustic_signal_travels_at_its_medium_sound_speed",
+    },
+    {
+        "name": "medium-names-taken-by-every-link",
+        "why": "only a link that runs in a medium takes the medium's fields",
+        "file": "src/iout_wakeup/sim.py",
+        "old": "    return cls, names, next(",
+        "new": "    names.update((f.name, f.type) for f in fields(Medium))\n"
+               "    return cls, names, next(",
+        "test": "tests/test_cli.py::test_sweep_range_rejected_flags_exit_2",
+    },
+    {
         "name": "duplicate-address-built",
         "why": "a config with a repeated address is refused when built, not when run",
         "file": "src/iout_wakeup/sim.py",

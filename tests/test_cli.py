@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iout_wakeup.cli import main
-from iout_wakeup.core import TECHNOLOGIES, Medium
+from iout_wakeup.core import TECHNOLOGIES
 from iout_wakeup.scenario import fmt6
 from iout_wakeup.sim import make_link
 
@@ -196,8 +196,11 @@ def test_results_beyond_the_float_range_exit_2(argv, capsys):
         (["--tech", "optical", "--water", "harbor", "--extinction-per-m", "0.1"],
          "give water_type or extinction_per_m, not both"),
         (["--tech", "acoustic", "--dmax", "1e300"], "grid of more than 1000000 points"),
+        # names are checked before values, medium names too
+        (["--tech", "acoustic", "--density-kg-m3", "-1", "--turns-tx", "3"],
+         "turns_tx is not a field of the acoustic link"),
     ],
-    ids=[f"argv{i}" for i in range(6)],
+    ids=[f"argv{i}" for i in range(7)],
 )
 def test_sweep_range_rejected_flags_exit_2(argv, detail, capsys):
     rc = main(["sweep-range", *argv])
@@ -237,7 +240,7 @@ def test_grids_hold_at_most_max_points(argv, stop, rc, monkeypatch, tmp_path, ca
         ("acoustic", ["--sl-db", "185", "--spreading", "15", "--freq-khz", "12"],
          {"source_level_db": 185.0, "spreading_exponent": 15.0, "frequency_khz": 12.0}),
         ("acoustic", ["--density-kg-m3", "1100", "--sound-speed-m-s", "1450"],
-         {"medium": Medium(1100.0, 1450.0)}),
+         {"density_kg_m3": 1100.0, "sound_speed_m_s": 1450.0}),
         ("optical", ["--ptx-mw", "100", "--aperture-m2", "0.002", "--divergence-half-deg", "0.5",
                      "--water", "coastal", "--beta-deg", "10"],
          {"transmit_power_mw": 100.0, "aperture_area_m2": 0.002,
@@ -397,6 +400,8 @@ def test_simulate_empty_requests_pure_sleep_charge(tmp_path):
          "wake_requests[0]: time_s must be finite: inf"),
         ({}, {"uav": {"position": [0, 0, -10], "rf_range_m": float("-inf")}},
          "uav: rf_range_m must be finite: -inf"),
+        ({}, {"uav": {"position": [0, 0, -10], "rf_range_m": 0}},
+         "uav: rf range must be positive: 0.0"),
         ({"link": {"frequency_khz": 1e200}}, {},
          "nodes[0].link: absorption beyond the float range"),
         ({"tech": "mi", "link": {"turns_tx": 10**307}}, {},
@@ -423,7 +428,7 @@ def test_simulate_empty_requests_pure_sleep_charge(tmp_path):
     ids=[
         "node-above-surface", "link-domain", "energy-domain", "nan-sensitivity",
         "nan-horizon", "horizon-beyond-ns", "infinite-request-time", "infinite-rf-range",
-        "absorption-overflow", "coil-factor-overflow", "impedance-underflow",
+        "zero-rf-range", "absorption-overflow", "coil-factor-overflow", "impedance-underflow",
         "impedance-overflow", "repeated-transmitter",
         "buoy-off-surface", "wide-address", "request-before-zero", "uav-below-surface",
         "unknown-transmitter", "unhashable-transmitter", "duplicate-address",

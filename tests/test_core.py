@@ -12,6 +12,7 @@ from iout_wakeup.core import (
     OPTICAL,
     Medium,
     Position3D,
+    field_value,
     propagation_delay,
     solve_max_range,
 )
@@ -91,6 +92,11 @@ def test_a_float_field_holds_a_float():
     position = Position3D(1, 0, 10**300)
     assert [type(v) for v in (position.x, position.y, position.z)] == [float] * 3
     assert type(Medium(1025).density_kg_m3) is float
+
+
+def test_a_bool_field_holds_the_bool_given():
+    for value in (True, False):
+        assert field_value("rf_wakeup_enabled", bool, value) is value
 
 
 def test_medium_validation():

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from iout_wakeup import acoustic, mi, optical
-from iout_wakeup.core import ACOUSTIC, NEG_INF_DBM, TECHNOLOGIES, Medium
+from iout_wakeup.core import NEG_INF_DBM, TECHNOLOGIES, Medium
 from iout_wakeup.errors import ConfigError, DomainError, NoSolution
 from iout_wakeup.mi import MiLinkParams
 from iout_wakeup.optical import OpticalLinkParams
@@ -139,15 +139,13 @@ def _value(kind):
 @st.composite
 def _links(draw):
     """A link of any technology, each name of ``link_fields`` left out (its
-    default) or given a drawn value of its type, as is each field of an
-    acoustic link's ``Medium``; a draw that does not build is dropped."""
+    default) or given a drawn value of its type, the medium's fields of an
+    acoustic link too; a draw that does not build is dropped."""
     tech = draw(st.sampled_from(TECHNOLOGIES))
     given = {name: draw(_value(kind)) for name, kind in link_fields(tech).items()
              if draw(st.booleans())}
-    medium = {f.name: draw(_FLOATS) for f in fields(Medium)
-              if tech == ACOUSTIC and draw(st.booleans())}
     try:
-        return make_link(tech, Medium(**medium), **given)
+        return make_link(tech, **given)
     except (DomainError, ConfigError):
         assume(False)
 

@@ -371,6 +371,8 @@ def test_the_run_log_acts_as_the_list_it_replaces(config):
                     slice(2, None, 3), slice(4, 1)):
             assert log[cut] == records[cut]
         assert log == records and records == log
+        # nor, as a list, to the tuple of its records or to a number
+        assert not log == tuple(records) and not log == 5
         assert repr(log) == repr(records)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "events.csv")
@@ -607,8 +609,8 @@ def _two_media():
     return SimConfig(
         uav=Uav(Position3D(0.0, 0.0, -10.0), rf_range_m=100.0),
         buoys=[Buoy(Position3D(0.0, 0.0, 0.0))],
-        nodes=[make_node("acoustic", address, link_params=make_link("acoustic", medium))
-               for address, medium in ((1, Medium()), (2, Medium(1025.0)))],
+        nodes=[make_node("acoustic", address, link_params=make_link("acoustic", **medium))
+               for address, medium in ((1, {}), (2, {"density_kg_m3": 1025.0}))],
         wake_requests=[WakeRequest(0.0, 1)],
         horizon_s=5.0,
     )

@@ -71,6 +71,11 @@ def test_unknown_keys_rejected():
     bad["nodes"][0]["colour"] = "yellow"
     with pytest.raises(ValidationError, match="nodes\\[0\\]"):
         parse_scenario_text(json.dumps(bad))
+    # the document's one medium gives an acoustic link its medium fields
+    bad = json.loads(MINIMAL)
+    bad["nodes"][0]["link"] = {"sound_speed_m_s": 1480.0}
+    with pytest.raises(ValidationError, match="^nodes\\[0\\].link: unknown key 'sound_speed_m_s'$"):
+        parse_scenario_text(json.dumps(bad))
 
 
 def test_missing_required_key_rejected():

@@ -83,7 +83,7 @@ def test_charge_conservation_identity():
 
 
 def test_acoustic_signal_travels_at_its_medium_sound_speed():
-    link = make_link("acoustic", Medium(sound_speed_m_s=1480.0))
+    link = make_link("acoustic", sound_speed_m_s=1480.0)
     node = make_node("acoustic", address=1, depth_m=148.0, link_params=link)
     report = run(_config([node], [WakeRequest(0.0, 1)]))
     wake_ns = RF_DELAY_NS + ACOUSTIC_148M_AT_1480_NS
@@ -379,6 +379,7 @@ def test_config_rejects_node_above_surface():
         # a bool is a number of the wrong type, not a 1 s horizon
         (lambda c: dataclasses.replace(c, horizon_s=True), ConfigError),
         (lambda c: Uav(c.uav.position, float("nan")), DomainError),
+        (lambda c: Uav(c.uav.position, 0.0), ConfigError),
         (lambda c: make_node("acoustic", sensitivity_dbm=float("nan")), DomainError),
         (lambda c: WakeRequest(float("nan"), 1), DomainError),
         (lambda c: WakeRequest(float("inf"), 1), DomainError),
@@ -397,7 +398,7 @@ def test_config_rejects_node_above_surface():
         (lambda c: make_node("acoustic", sensitivity_dbm=True), ConfigError),
         (lambda c: make_link("mi", turns_tx=True), ConfigError),
         (lambda c: make_link("mi", turns_tx=2.5), ConfigError),
-        # a link without a medium holds the argument to the acoustic link's rule
+        # no link takes a medium as such, only its two fields by name
         (lambda c: make_link("optical", medium=5), DomainError),
         (lambda c: make_link("mi", medium=5), DomainError),
         (lambda c: Buoy(Position3D(0.0, 0.0, 0.0), rf_wakeup_enabled="no"), ConfigError),
@@ -417,7 +418,7 @@ def test_config_rejects_node_above_surface():
         (lambda c: make_node("acoustic", energy="x"), DomainError),
     ],
     ids=["nan-horizon", "inf-horizon", "horizon-beyond-ns", "int-horizon-beyond-float",
-         "horizon-under-1-ns", "bool-horizon", "nan-rf-range",
+         "horizon-under-1-ns", "bool-horizon", "nan-rf-range", "zero-rf-range",
          "nan-sensitivity", "nan-request-time", "inf-request-time",
          "int-request-time-beyond-float", "int-sensitivity-beyond-float",
          "float-address", "integral-float-address", "bool-address", "nan-address",
@@ -545,13 +546,16 @@ def test_unknown_technology_is_a_config_error(call, message):
         (lambda: make_link("mi", water_type="coastal"), "water_type is not a field of the mi link"),
         (lambda: make_link("optical", turns_tx=3, foo=1), "turns_tx is not a field of the optical link"),
         (lambda: make_link("optical", foo=1, turns_tx=3), "foo is not a field of the optical link"),
+        (lambda: make_link("acoustic", medium=Medium()), "medium is not a field of the acoustic link"),
+        (lambda: make_link("optical", density_kg_m3=1000.0),
+         "density_kg_m3 is not a field of the optical link"),
         (lambda: energy_profile("acoustic", foo=1),
          "foo is not a field of the acoustic energy profile"),
         (lambda: energy_profile("mi", capacity_mah=1.0, foo=1),
          "capacity_mah is not a field of the mi energy profile"),
     ],
     ids=["acoustic-turns", "acoustic-water", "mi-water", "first-of-two", "first-of-two-reversed",
-         "energy-unknown", "energy-first-of-two"],
+         "acoustic-medium", "optical-density", "energy-unknown", "energy-first-of-two"],
 )
 def test_a_name_a_builder_does_not_take_is_a_domain_error(call, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
