@@ -13,13 +13,14 @@ Determinism: event times are integer nanoseconds and the queue is totally
 ordered by (time, event-kind priority, actor id, insertion sequence).
 State transitions at a timestamp are processed before signal arrivals at
 the same timestamp, so back-to-back wake schedules keep a node
-continuously active; arrivals precede fresh emissions.  A broadcast is one
-queue entry with one insertion sequence: its link table is sorted by
-(delay, address), and the entry handles the arrivals in that order, each
-at the point where a queue entry of its own would be popped.  A
-node found depleted while settling logs the depletion in its place in
-time order.  The engine is seedless; identical configs produce identical
-reports.
+continuously active.  Requests come from their sorted stream, not the
+queue, and a request runs after every queued entry at its ns: arrivals
+precede fresh emissions.  A broadcast is one queue entry with one
+insertion sequence: its link table is sorted by (delay, address), and
+the entry handles the arrivals in that order, each at the point where a
+queue entry of its own would be popped.  A node found depleted while
+settling logs the depletion in its place in time order.  The engine is
+seedless; identical configs produce identical reports.
 
 The run logs each event as two ints, a time and a code (see ``RunLog``),
 and a failure as the outcome of its event: the records, failures too,
@@ -71,14 +72,11 @@ MAX_ADDRESS = 0xFFFF
 
 _NS = 1_000_000_000
 _FLOAT_MAX = sys.float_info.max
-# Queue priorities: sleep transitions, then arrivals (buoy RF, node WuS),
-# then fresh UAV emissions.  A queue entry is (time, priority, key,
-# sequence, *payload): its priority also names its kind.  The queue holds
-# at most one request, the next in (whole ns, config order): popping it
-# pushes the one after, so the requests keep the order they would have
-# if all were queued at t = 0.  Likewise it holds at most one entry per
-# broadcast, keyed by the broadcast's next arrival.
-_PRIO_SLEEP, _PRIO_RF, _PRIO_WUS, _PRIO_REQUEST = 0, 1, 2, 3
+# Queue priorities: sleep transitions, then arrivals (buoy RF, node WuS).
+# A queue entry is (time, priority, key, sequence, *payload): its priority
+# also names its kind.  The queue holds at most one entry per broadcast,
+# keyed by the broadcast's next arrival.
+_PRIO_SLEEP, _PRIO_RF, _PRIO_WUS = 0, 1, 2
 # A logged code is ``key << _TARGET_BITS | target``: the index of its entry
 # and the request target its detail takes, or 0.  Every address fits.
 _TARGET_BITS = 16
@@ -352,10 +350,6 @@ class RunLog(Sequence):
         self.entries.append(fields)
         return (len(self.entries) - 1) << _TARGET_BITS
 
-    def add(self, time_ns, code):
-        self.times.append(time_ns)
-        self.codes.append(code)
-
     def insort(self, time_ns, code):
         """Add a record after every record up to its time, as a stable
         sort would put it."""
@@ -436,10 +430,12 @@ class SimReport:
         failures = RunLog(FailureRecord, _to_ns(self.horizon_s))
         keys = [failures.entry(entry[3], entry[0], entry[4]) if len(entry) == 5 else None
                 for entry in self.events.entries]
+        log_time, log_code = failures.times.append, failures.codes.append
         for time_ns, code in zip(self.events.times, self.events.codes):
             failure = keys[code >> _TARGET_BITS]
             if failure is not None:
-                failures.add(time_ns, failure | code & MAX_ADDRESS)
+                log_time(time_ns)
+                log_code(failure | code & MAX_ADDRESS)
         return failures
 
 
@@ -566,14 +562,13 @@ def _run(config: SimConfig, requests) -> SimReport:
     token (compared with ``is``) wake a node once."""
     horizon_ns = _to_ns(config.horizon_s)
     events = RunLog(SimEvent, horizon_ns)
-    log_event = events.add
+    log_time, log_code = events.times.append, events.codes.append
     runtimes = {node.address: _NodeRuntime(node, horizon_ns, events) for node in config.nodes}
     heap = []
     seq = itertools.count()
+    # the next request, made once every queued entry up to its ns has run
     requests = iter(requests)
-    first = next(requests, None)
-    if first is not None:
-        heappush(heap, (first[0], _PRIO_REQUEST, 0, next(seq), first))
+    due, due_target, due_req = next(requests, (math.inf, None, None))
 
     # The RF hop of every buoy that hears the UAV: its index, delay and a
     # route per target technology, which a request picks.  A route is the
@@ -605,43 +600,61 @@ def _run(config: SimConfig, requests) -> SimReport:
     no_buoy = () if hops else (OUT_OF_RANGE, "no buoy within rf range")
     requested = events.entry("uav", "wake_request", "target={}", *no_buoy)
 
-    while heap and heap[0][0] <= horizon_ns:  # nothing past the horizon (or inf) runs
-        entry = heappop(heap)
+    while True:
+        # every queued kind sorts before a request at its ns
+        if heap and heap[0][0] <= due:
+            entry = heappop(heap)
+            if entry[0] > horizon_ns:  # and so is the request: nothing later (or inf) runs
+                break
+        elif due <= horizon_ns:
+            log_time(due)
+            log_code(requested | due_target)
+            nrt = runtimes.get(due_target)
+            tech = None if nrt is None else nrt.node.technology
+            for bidx, delay_ns, routes in hops:
+                heappush(heap, (due + delay_ns, _PRIO_RF, bidx, next(seq), routes[tech],
+                                due_req, due_target))
+            due, due_target, due_req = next(requests, (math.inf, None, None))
+            continue
+        else:
+            break
         kind = entry[1]
 
         # Signal arrivals are almost every entry, so they are tested first.
         # A broadcast's entry handles its arrivals in table order while the
-        # next one still sorts before the queue's head, then goes back in
-        # keyed by the first one that does not.
+        # next one still sorts before the queue's head and the next request,
+        # then goes back in keyed by the first one that does not.
         if kind == _PRIO_WUS:
             t, _, addr, order, i, emitted, rows, req, target = entry
             _, _, nrt, miss, wake = rows[i]
             while True:
                 if nrt.can_deplete and nrt.settle(t, events):
-                    log_event(t, nrt.depleted | target)
+                    code = nrt.depleted | target
                     nrt.failures += 1
                 elif miss is not None:
-                    log_event(t, miss)
+                    code = miss
                     nrt.failures += 1
                 elif target != addr:
-                    log_event(t, nrt.mismatch | target)
+                    code = nrt.mismatch | target
                     nrt.failures += 1
                 elif nrt.state == ACTIVE:
                     # Fig-2-style interrupt targets a sleeping controller; an
                     # already-active node ignores further signals.
-                    log_event(t, nrt.ignored)
+                    code = nrt.ignored
                 elif nrt.woken_by is req:
                     # Another buoy's relay of the request that already woke the
                     # node, arriving after its burst: one request, one wake.
-                    log_event(t, nrt.duplicate)
+                    code = nrt.duplicate
                 else:
                     if not nrt.can_deplete:
                         nrt.settle(t, events)
                     nrt.state = ACTIVE
                     nrt.woken_by = req
                     nrt.latencies_s.append(wake[0])
-                    log_event(t, wake[1])
+                    code = wake[1]
                     heappush(heap, (t + nrt.burst_ns, _PRIO_SLEEP, addr, next(seq), nrt))
+                log_time(t)
+                log_code(code)
                 i += 1
                 if i == len(rows):
                     break
@@ -649,41 +662,32 @@ def _run(config: SimConfig, requests) -> SimReport:
                 t = emitted + delay_ns
                 if t > horizon_ns:  # and so is every later row
                     break
-                if heap:
-                    # times first: a tuple is built only on a tie
-                    head_t = heap[0][0]
-                    if t > head_t or t == head_t and (t, _PRIO_WUS, addr, order) > heap[0]:
-                        heappush(heap, (t, _PRIO_WUS, addr, order, i, emitted, rows, req, target))
-                        break
+                # times first: a tuple is built only on a tie
+                head_t = heap[0][0] if heap else math.inf
+                if t > due or t > head_t or t == head_t and (t, _PRIO_WUS, addr, order) > heap[0]:
+                    heappush(heap, (t, _PRIO_WUS, addr, order, i, emitted, rows, req, target))
+                    break
 
         elif kind == _PRIO_SLEEP:
             t, nrt = entry[0], entry[4]
             # the node is active: its wake pushed this timer, the one way back to sleep
             if not nrt.settle(t, events):
                 nrt.state = SLEEP
-                log_event(t, nrt.asleep)
+                log_time(t)
+                log_code(nrt.asleep)
 
-        elif kind == _PRIO_RF:
+        else:  # an RF arrival
             t, _, _, _, (arrived, emits), req, target = entry
-            log_event(t, arrived | target)
+            log_time(t)
+            log_code(arrived | target)
             for emitted_code, rows in emits:
-                log_event(t, emitted_code | target)
+                log_time(t)
+                log_code(emitted_code | target)
                 if rows:
                     delay_ns, addr = rows[0][:2]
                     heappush(
                         heap, (t + delay_ns, _PRIO_WUS, addr, next(seq), 0, t, rows, req, target)
                     )
-
-        else:  # a request
-            t, (_, target, req) = entry[0], entry[4]
-            log_event(t, requested | target)
-            nrt = runtimes.get(target)
-            tech = None if nrt is None else nrt.node.technology
-            for bidx, delay_ns, routes in hops:
-                heappush(heap, (t + delay_ns, _PRIO_RF, bidx, next(seq), routes[tech], req, target))
-            following = next(requests, None)
-            if following is not None:
-                heappush(heap, (following[0], _PRIO_REQUEST, 0, next(seq), following))
 
     for nrt in runtimes.values():
         nrt.settle(horizon_ns, events)

@@ -54,8 +54,8 @@ MUTANTS = [
         "name": "failure-view-drops-its-target",
         "why": "a failure read from its event names the event's request target",
         "file": "src/iout_wakeup/sim.py",
-        "old": "failures.add(time_ns, failure | code & MAX_ADDRESS)",
-        "new": "failures.add(time_ns, failure)",
+        "old": "log_code(failure | code & MAX_ADDRESS)",
+        "new": "log_code(failure)",
         "test": ORACLE + "test_engine_matches_the_reference_engine",
     },
     {
@@ -103,8 +103,24 @@ MUTANTS = [
         "name": "equal-time-tie-dropped",
         "why": "a broadcast yields to a queue entry at its own ns that sorts first",
         "file": "src/iout_wakeup/sim.py",
-        "old": "if t > head_t or t == head_t and (t, _PRIO_WUS, addr, order) > heap[0]:",
-        "new": "if t > head_t:",
+        "old": "t > head_t or t == head_t and (t, _PRIO_WUS, addr, order) > heap[0]:",
+        "new": "t > head_t:",
+        "test": ORACLE + "test_engine_matches_the_reference_engine",
+    },
+    {
+        "name": "broadcast-ignores-the-next-request",
+        "why": "a broadcast yields to a request due before its next arrival, queue empty or not",
+        "file": "src/iout_wakeup/sim.py",
+        "old": "if t > due or t > head_t",
+        "new": "if t > head_t",
+        "test": ORACLE + "test_engine_matches_the_reference_engine",
+    },
+    {
+        "name": "request-before-queued-entries",
+        "why": "a request runs after every queued entry at its ns",
+        "file": "src/iout_wakeup/sim.py",
+        "old": "        if heap and heap[0][0] <= due:",
+        "new": "        if heap and heap[0][0] < due:",
         "test": ORACLE + "test_engine_matches_the_reference_engine",
     },
     {
@@ -112,7 +128,8 @@ MUTANTS = [
         "why": "a depletion found while settling is logged in its place in time",
         "file": "src/iout_wakeup/sim.py",
         "old": "            events.insort(self.depleted_ns, self.depletion)",
-        "new": "            events.add(self.depleted_ns, self.depletion)",
+        "new": "            events.times.append(self.depleted_ns)\n"
+               "            events.codes.append(self.depletion)",
         "test": ORACLE + "test_events_are_logged_in_time_order",
     },
     {

@@ -249,9 +249,10 @@ def _config(draw):
     nodes = [draw(_node(address, horizon_s)) for address in addresses]
     targets = st.sampled_from(addresses + addresses + [7, 999, 65535])
     # nextafter(1.0, 2.0) is a later float at the same ns as 1.0: requests
-    # sharing an instant out of float order run in config order
+    # sharing an instant out of float order run in config order.  A request
+    # at 0.05 s or 0.1 s is made while a broadcast from t = 0 is in flight.
     times = st.sampled_from(
-        [0.0, 0.0, 0.2, 0.5, 1.0, math.nextafter(1.0, 2.0), 1.02, 4.0, 19.9, 25.0]
+        [0.0, 0.0, 0.05, 0.1, 0.2, 0.5, 1.0, math.nextafter(1.0, 2.0), 1.02, 4.0, 19.9, 25.0]
     )
     requests = [WakeRequest(draw(times), draw(targets)) for _ in range(draw(st.integers(0, 12)))]
     rf_range_m = draw(st.sampled_from([5.0, 50.0, 300.0, 300.0]))
@@ -315,12 +316,45 @@ def _one_request_listed_twice():
     )
 
 
+def _request_inside_a_lone_broadcast():
+    """A request made while a broadcast is in flight and nothing else is
+    queued: the broadcast from t = 0 reaches node 1 at 10 m, then waits
+    for node 2 at 900 m (0.600000033 s) while the request at 0.1 s runs."""
+    return SimConfig(
+        uav=Uav(Position3D(0.0, 0.0, -10.0), rf_range_m=100.0),
+        buoys=[Buoy(Position3D(0.0, 0.0, 0.0), transmitters=("acoustic",))],
+        nodes=[make_node("acoustic", address=1),
+               make_node("acoustic", address=2, depth_m=900.0)],
+        wake_requests=[WakeRequest(0.0, 2), WakeRequest(0.1, 1)],
+        horizon_s=5.0,
+    )
+
+
+def _requests_at_queued_instants():
+    """Requests at the exact ns of a queued RF arrival and of a queued
+    sleep timer: each queued entry is logged before the request."""
+    node = make_node("acoustic", address=1)
+    hop = _ns(10.0 / LIGHT_SPEED_M_S)
+    woken = hop + _ns(propagation_delay(node.link_params, 10.0))
+    asleep = woken + _ns(node.energy.active_duration_s)
+    return SimConfig(
+        uav=Uav(Position3D(0.0, 0.0, -10.0), rf_range_m=100.0),
+        buoys=[Buoy(Position3D(0.0, 0.0, 0.0))],
+        nodes=[node],
+        wake_requests=[WakeRequest(0.0, 1), WakeRequest(hop / NS, 7),
+                       WakeRequest(asleep / NS, 7)],
+        horizon_s=20.0,
+    )
+
+
 @settings(max_examples=200 * SCALE, deadline=None)
 @given(_config())
 @example(_flat_while_woken())
 @example(_twin_relays())
 @example(_one_ns_out_of_float_order())
 @example(_one_request_listed_twice())
+@example(_request_inside_a_lone_broadcast())
+@example(_requests_at_queued_instants())
 def test_engine_matches_the_reference_engine(config):
     report = run(config)
     # A run builds no failure log: the failures are read from the events
