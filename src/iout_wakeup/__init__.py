@@ -6,12 +6,7 @@ optical, magnetic induction), closed-form node lifetime under no-wake-up
 simulator of the two-stage UAV -> buoy -> node wake-up protocol.
 """
 
-from .acoustic import (
-    AcousticLinkParams,
-    acoustic_max_range,
-    received_power_density_dbm,
-    thorp_absorption,
-)
+from .acoustic import AcousticLinkParams, thorp_absorption
 from .core import (
     ACOUSTIC,
     MI,
@@ -42,8 +37,8 @@ from .errors import (
     PolicyError,
     ValidationError,
 )
-from .mi import MiLinkParams, mi_max_range
-from .optical import OpticalLinkParams, WaterType, extinction_coefficient, optical_max_range
+from .mi import MiLinkParams
+from .optical import OpticalLinkParams, WaterType, extinction_coefficient
 from .scenario import (
     load_preset,
     parse_scenario,

@@ -60,15 +60,9 @@ _LINK_FLAGS = {
 _POLICIES = {"nowu": NO_WAKEUP, "dc": DUTY_CYCLE, "od": ON_DEMAND}
 
 
-class _CliError(Exception):
-    def __init__(self, code, detail):
-        super().__init__(detail)
-        self.code = code
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _CliError(2, message)
+        raise ParseError(message)
 
 
 def _finite_float(text):
@@ -83,6 +77,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     sweep = sub.add_parser("sweep-range", help="received power vs distance + max range")
+    sweep.set_defaults(run=_cmd_sweep_range)
     sweep.add_argument("--tech", required=True, choices=TECHNOLOGIES)
     sweep.add_argument("--sensitivity-dbm", type=_finite_float, default=None,
                        help="receiver sensitivity (default per technology)")
@@ -101,6 +96,7 @@ def _build_parser():
         link.add_argument(flag, dest=name, type=kind, metavar=name.upper())
 
     life = sub.add_parser("lifetime", help="lifetime vs transmissions per hour")
+    life.set_defaults(run=_cmd_lifetime)
     life.add_argument("--tech", required=True, choices=TECHNOLOGIES)
     life.add_argument("--policy", choices=[*_POLICIES, "all"], default="all")
     life.add_argument("--rate-per-hour", type=_finite_float, default=None,
@@ -116,6 +112,7 @@ def _build_parser():
     life.add_argument("--out", default=None, help="CSV output path (default: stdout)")
 
     simulate = sub.add_parser("simulate", help="run a scenario through the event simulator")
+    simulate.set_defaults(run=_cmd_simulate)
     simulate.add_argument("--scenario", required=True,
                           help=f"scenario JSON path or preset {scenario_io.PRESET_NAMES}")
     simulate.add_argument("--out", required=True,
@@ -133,7 +130,7 @@ def _grid(start, stop, step):
     most MAX_POINTS points."""
     steps = (stop - start) / step + 1e-9
     if not steps < MAX_POINTS:  # int(steps) + 1 points; inf and NaN fail too
-        raise _CliError(2, f"grid of more than {MAX_POINTS} points")
+        raise DomainError(f"grid of more than {MAX_POINTS} points")
     return [start + i * step for i in range(int(steps) + 1)]
 
 
@@ -144,9 +141,9 @@ def _cmd_sweep_range(args):
     dmin = args.dmin if args.dmin is not None else default_min
     dmax = args.dmax if args.dmax is not None else default_max
     if args.step <= 0.0:
-        raise _CliError(2, f"step must be positive: {args.step}")
+        raise DomainError(f"step must be positive: {args.step}")
     if not dmin < dmax:
-        raise _CliError(2, f"need dmin < dmax: {dmin} >= {dmax}")
+        raise DomainError(f"need dmin < dmax: {dmin} >= {dmax}")
     sensitivity = args.sensitivity_dbm
     if sensitivity is None:
         sensitivity = params.default_sensitivity_dbm
@@ -165,7 +162,7 @@ def _cmd_lifetime(args):
         rates = [args.rate_per_hour]
     else:
         if args.rate_step <= 0.0 or not args.rate_min <= args.rate_max:
-            raise _CliError(2, "need rate-min <= rate-max and positive rate-step")
+            raise DomainError("need rate-min <= rate-max and positive rate-step")
         rates = _grid(args.rate_min, args.rate_max, args.rate_step)
     kinds = _POLICIES.values() if args.policy == "all" else [_POLICIES[args.policy]]
     rows = []
@@ -185,7 +182,7 @@ def _cmd_simulate(args):
     elif args.scenario in scenario_io.PRESET_NAMES:
         config = scenario_io.load_preset(args.scenario)
     else:
-        raise _CliError(2, f"no such scenario file or preset: {args.scenario}")
+        raise ParseError(f"no such scenario file or preset: {args.scenario}")
     report = run(config)
     scenario_io.write_events_csv(f"{args.out}_events.csv", report)
     scenario_io.write_summary_csv(f"{args.out}_summary.csv", report)
@@ -195,16 +192,9 @@ def _cmd_simulate(args):
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "sweep-range":
-            return _cmd_sweep_range(args)
-        if args.command == "lifetime":
-            return _cmd_lifetime(args)
-        return _cmd_simulate(args)
-    except _CliError as exc:
-        code, detail = exc.code, exc
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
     except NoSolution as exc:
         code, detail = 3, exc
     except (ValidationError, ConfigError) as exc:
@@ -217,7 +207,3 @@ def main(argv=None):
 
 def main_entry():
     raise SystemExit(main())
-
-
-if __name__ == "__main__":
-    main_entry()

@@ -3,7 +3,8 @@
 
 class DomainError(ValueError):
     """Input lies outside a model's valid domain (e.g. distance below the
-    reference distance, non-positive frequency)."""
+    reference distance, non-positive frequency), or a CLI grid cannot be
+    built from its flags (a non-positive step, an empty or too long range)."""
 
 
 class NoSolution(Exception):
@@ -20,7 +21,7 @@ class ConfigError(ValueError):
 
 
 class ParseError(ValueError):
-    """Scenario file is not syntactically valid."""
+    """A command line or a scenario file is not syntactically valid."""
 
 
 class ValidationError(ValueError):

@@ -286,6 +286,14 @@ MUTANTS = [
         "new": "number = is_number(horizon_hours)",
         "test": "tests/test_sim.py::test_simulate_lifetime_rejects_bad_horizons[int-beyond-float]",
     },
+    {
+        "name": "command-line-faults-not-exit-2",
+        "why": "a fault of the command line exits 2 with its one error line, not a traceback",
+        "file": "src/iout_wakeup/cli.py",
+        "old": "    except (ParseError, DomainError, PolicyError, OSError) as exc:",
+        "new": "    except (DomainError, PolicyError, OSError) as exc:",
+        "test": "tests/test_cli.py::test_cli_faults_exit_2_with_their_line",
+    },
 ]
 
 

@@ -5,12 +5,16 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import iout_wakeup
 from iout_wakeup.cli import main
 from iout_wakeup.core import TECHNOLOGIES
 from iout_wakeup.scenario import fmt6
@@ -206,6 +210,57 @@ def test_sweep_range_rejected_flags_exit_2(argv, detail, capsys):
     rc = main(["sweep-range", *argv])
     assert rc == 2
     assert _assert_one_error_line(rc, capsys) == f"error: 2: {detail}"
+
+
+# the lines the CLI writes itself; argparse's own wording for other faults
+# varies with the Python version
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        (["sweep-range", "--tech", "acoustic", "--step", "0"],
+         "error: 2: step must be positive: 0.0"),
+        (["sweep-range", "--tech", "acoustic", "--dmin", "5", "--dmax", "5"],
+         "error: 2: need dmin < dmax: 5.0 >= 5.0"),
+        (["lifetime", "--tech", "acoustic", "--rate-step", "0"],
+         "error: 2: need rate-min <= rate-max and positive rate-step"),
+        (["lifetime", "--tech", "acoustic", "--rate-min", "5", "--rate-max", "1"],
+         "error: 2: need rate-min <= rate-max and positive rate-step"),
+        (["simulate", "--scenario", "no-such", "--out", "X"],
+         "error: 2: no such scenario file or preset: no-such"),
+        (["sweep-range"], "error: 2: the following arguments are required: --tech"),
+        ([], "error: 2: the following arguments are required: command"),
+    ],
+    ids=["zero-step", "empty-range", "zero-rate-step", "reversed-rates", "unknown-scenario",
+         "no-tech", "no-command"],
+)
+def test_cli_faults_exit_2_with_their_line(argv, line, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # no file here is named like the scenario
+    rc = main(argv)
+    assert rc == 2
+    assert _assert_one_error_line(rc, capsys) == line
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--scenario", "acoustic-fig3", "--out", "fig3"], ["sweep-range"]],
+    ids=["simulate", "fault"],
+)
+def test_python_m_iout_wakeup_is_main(argv, tmp_path, monkeypatch, capsys):
+    child_dir, main_dir = tmp_path / "child", tmp_path / "main"
+    child_dir.mkdir()
+    main_dir.mkdir()
+    # the child imports the package this test imports
+    env = dict(os.environ, PYTHONPATH=str(Path(iout_wakeup.__file__).resolve().parents[1]))
+    child = subprocess.run([sys.executable, "-m", "iout_wakeup", *argv], cwd=child_dir, env=env,
+                           capture_output=True, text=True, check=False)
+    monkeypatch.chdir(main_dir)
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert (child.returncode, child.stdout, child.stderr) == (rc, out, err)
+    written = sorted(os.listdir(main_dir))
+    assert sorted(os.listdir(child_dir)) == written
+    for name in written:
+        assert (child_dir / name).read_bytes() == (main_dir / name).read_bytes()
 
 
 # start 1 and step 1, so the stop is the last point of the grid
